@@ -3,7 +3,8 @@
 Subcommands: invariants (bundle for one graph), product (strong/lex build),
 verify (statement suite over a corpus), corpus (stream a corpus as graph6),
 statements (list the catalog).  Output is deterministic JSON lines; exit code
-0 on success / all-holds, 1 when some statement fails, 2 on usage errors.
+0 on success / all-holds, 1 when some statement fails, 2 on usage or internal
+errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import families, positions, products, statements
 from .errors import GenposError
@@ -165,11 +167,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except GenposError as exc:
+    except (GenposError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # an internal fault: exit 1 is reserved for a failing statement
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

@@ -101,19 +101,6 @@ class DistanceMatrix:
         self._blockers: list[list[int]] | None = None
         self._rowunion: list[int] | None = None
 
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        u, v = pair
-        return self.dist[u][v]
-
-    def between(self, u: int, w: int, v: int) -> bool:
-        """True when w lies strictly inside some shortest u,v-path."""
-        if w == u or w == v:
-            return False
-        duv = self.dist[u][v]
-        if duv == INF:
-            return False
-        return self.dist[u][w] + self.dist[w][v] == duv
-
     @property
     def blockers(self) -> list[list[int]]:
         if self._blockers is None:

@@ -9,15 +9,18 @@ the interior reading makes all four notions coherent and is used throughout.
 Two engines are provided for the maxima: definition-level branch-and-bound
 oracles working directly on geodesic blocker masks, and characterization
 engines (simplicial count, clique number of the strong resolving graph,
-convex-complement search).  They must agree; the test suite asserts it.
+convex-complement search).  They must agree: ``invariant`` recomputes gp_t,
+gp_o and gp_d with the other engine up to the orders in ``CROSS_CHECK_CAPS``
+and raises on a disagreement.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import cliques, resolving
 from .errors import DomainError, GenposError
+from .graph6 import write_graph6
 from .graphs import (
     DistanceMatrix,
     Graph,
@@ -66,23 +69,22 @@ def is_total_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
     """Every geodesic between members of X stays inside X."""
     xmask = to_mask(X)
+    return _pairs_avoid(dm, xmask, ~xmask)
+
+
+def _pairs_avoid(dm: DistanceMatrix, pairs: int, forbidden: int) -> bool:
+    """No pair inside ``pairs`` has a ``forbidden`` vertex strictly between."""
     blockers = dm.blockers
-    for u in iter_bits(xmask):
+    for u in iter_bits(pairs):
         bu = blockers[u]
-        for v in iter_bits(xmask >> (u + 1) << (u + 1)):
-            if bu[v] & ~xmask:
+        for v in iter_bits(pairs >> (u + 1) << (u + 1)):
+            if bu[v] & forbidden:
                 return False
     return True
 
 
 def _is_gp_mask(dm: DistanceMatrix, xmask: int) -> bool:
-    blockers = dm.blockers
-    for u in iter_bits(xmask):
-        bu = blockers[u]
-        for v in iter_bits(xmask >> (u + 1) << (u + 1)):
-            if bu[v] & xmask:
-                return False
-    return True
+    return _pairs_avoid(dm, xmask, xmask)
 
 
 def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
@@ -96,32 +98,27 @@ def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
 
 
 def _is_dual_mask(dm: DistanceMatrix, xmask: int) -> bool:
-    if not _is_gp_mask(dm, xmask):
-        return False
-    blockers = dm.blockers
     comp = ~xmask & ((1 << dm.n) - 1)
-    for u in iter_bits(comp):
-        bu = blockers[u]
-        for v in iter_bits(comp >> (u + 1) << (u + 1)):
-            if bu[v] & xmask:
-                return False
-    return True
+    return _is_gp_mask(dm, xmask) and _pairs_avoid(dm, comp, xmask)
 
 
 # ---------------------------------------------------------------------------
 # definition-level maximum solvers (oracle engine)
 
 
-def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
-    """Largest general position set via blocked-triple branch-and-bound."""
+def _max_gp_search(
+    dm: DistanceMatrix, accept: Callable[[int], bool] | None
+) -> tuple[int, frozenset[int]]:
+    """Largest general position set that ``accept`` takes (every set when
+    ``accept`` is None), by blocked-triple branch-and-bound."""
     n = dm.n
     blockers = dm.blockers
-    best = 0
+    best = -1
     best_mask = 0
 
     def extend(xmask: int, size: int, start: int, blocked: int) -> None:
         nonlocal best, best_mask
-        if size > best:
+        if size > best and (accept is None or accept(xmask)):
             best, best_mask = size, xmask
         for v in range(start, n):
             if size + (n - v) <= best:
@@ -141,6 +138,11 @@ def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 
     extend(0, 0, 0, 0)
     return best, from_mask(best_mask)
+
+
+def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
+    """Largest general position set."""
+    return _max_gp_search(dm, None)
 
 
 def max_outer_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
@@ -226,43 +228,8 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 
 def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Maximize |X| over general position sets whose complement is convex."""
-    n = dm.n
-    blockers = dm.blockers
-    full = (1 << n) - 1
-    best = -1
-    best_mask = 0
-
-    def convex_complement(xmask: int) -> bool:
-        comp = ~xmask & full
-        for u in iter_bits(comp):
-            bu = blockers[u]
-            for v in iter_bits(comp >> (u + 1) << (u + 1)):
-                if bu[v] & xmask:
-                    return False
-        return True
-
-    def extend(xmask: int, size: int, start: int, blocked: int) -> None:
-        nonlocal best, best_mask
-        if size > best and convex_complement(xmask):
-            best, best_mask = size, xmask
-        for v in range(start, n):
-            if size + (n - v) <= best:
-                return
-            if blocked >> v & 1:
-                continue
-            ok = True
-            nb = blocked
-            for u in iter_bits(xmask):
-                b = blockers[u][v]
-                if b & xmask:
-                    ok = False
-                    break
-                nb |= b
-            if ok:
-                extend(xmask | 1 << v, size + 1, v + 1, nb)
-
-    extend(0, 0, 0, 0)
-    return best, from_mask(best_mask)
+    full = (1 << dm.n) - 1
+    return _max_gp_search(dm, lambda xmask: _pairs_avoid(dm, ~xmask & full, xmask))
 
 
 def gp_number(g: Graph, dm: DistanceMatrix | None = None) -> tuple[int, frozenset[int]]:
@@ -304,6 +271,40 @@ def gp_dual(
 
 
 # ---------------------------------------------------------------------------
+# cross-checked invariants
+
+# Largest order at which the other engine recomputes each invariant (None:
+# every order); above it only the requested engine runs.
+CROSS_CHECK_CAPS = {"gp_t": None, "gp_o": 40, "gp_d": 16}
+
+
+def invariant(
+    key: str,
+    g: Graph,
+    dm: DistanceMatrix | None = None,
+    engine: str = "characterization",
+    cross_check: bool = True,
+) -> tuple[int, frozenset[int]]:
+    """gp_t, gp_o or gp_d of a connected graph with its witness, recomputed by
+    the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree."""
+    # looked up per call, so wrappers placed on the module names see the calls
+    compute = {"gp_t": gp_total, "gp_o": gp_outer, "gp_d": gp_dual}[key]
+    if dm is None:
+        dm = all_pairs_distances(g)
+    size, witness = compute(g, dm, engine=engine)
+    cap = CROSS_CHECK_CAPS[key]
+    if cross_check and (cap is None or g.n <= cap):
+        other = "oracle" if engine != "oracle" else "characterization"
+        check, _ = compute(g, dm, engine=other)
+        if check != size:
+            raise GenposError(
+                f"{key} engine disagreement on {write_graph6(g)}: "
+                f"{engine}={size}, {other}={check}"
+            )
+    return size, witness
+
+
+# ---------------------------------------------------------------------------
 # isometric restriction
 
 
@@ -327,8 +328,6 @@ def restrict_to_isometric_subgraph(
 # ---------------------------------------------------------------------------
 # invariant bundles
 
-CROSS_CHECK_MAX_ORDER = 8
-
 
 def compute_bundle(
     g: Graph,
@@ -346,22 +345,9 @@ def compute_bundle(
     alpha, alpha_w = cliques.independence_number(g)
     gp, gp_w = max_gp_oracle(dm)
     vals = {
-        "gp_t": gp_total(g, dm, engine=engine),
-        "gp_o": gp_outer(g, dm, engine=engine),
-        "gp_d": gp_dual(g, dm, engine=engine),
+        key: invariant(key, g, dm, engine=engine, cross_check=cross_check)
+        for key in CROSS_CHECK_CAPS
     }
-    if cross_check and n <= CROSS_CHECK_MAX_ORDER:
-        other = "oracle" if engine != "oracle" else "characterization"
-        for key, (size, _) in vals.items():
-            check, _ = {
-                "gp_t": gp_total,
-                "gp_o": gp_outer,
-                "gp_d": gp_dual,
-            }[key](g, dm, engine=other)
-            if check != size:
-                raise GenposError(
-                    f"engine disagreement on {key}: {engine}={size}, {other}={check}"
-                )
     bundle = {
         "n": n,
         "n1": n1,

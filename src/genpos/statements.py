@@ -7,9 +7,9 @@ precondition-not-met.  The suite's central property is zero fails: the
 statements are proved facts, so a failing verdict flags an implementation
 bug.  The one documented exception is S17 on ``cycle_plus:7``, where the
 claimed gp_d = 3 is not attained (the value is 1; see ``check_s17``), so a
-full run reports exactly that one fail.  Values feeding a verdict are
-cross-checked against the definition-level oracles whenever the instance is
-small enough.
+full run reports exactly that one fail.  gp_t, gp_o and gp_d values feeding
+a verdict come from ``positions.invariant``, which cross-checks the two
+engines up to the orders in ``positions.CROSS_CHECK_CAPS``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import cliques, families, positions, resolving
-from .errors import CapacityError, GenposError, SpecError
+from .errors import CapacityError, SpecError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     Graph,
@@ -55,9 +55,6 @@ CAP_LEX_OUTER = 36
 CAP_S27_ZERO = 25
 CAP_S27_COMPLETE = 24
 CAP_S15 = 36
-
-_OUTER_REVERIFY_CAP = 40
-_DUAL_REVERIFY_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -113,45 +110,7 @@ def _equalities(sid: str, instance: str, checks: dict[str, tuple], note: str = "
 
 
 # ---------------------------------------------------------------------------
-# cross-checked invariant helpers
-
-
-def _gp_outer_value(g: Graph, dm=None) -> int:
-    dm = dm if dm is not None else all_pairs_distances(g)
-    size, _ = positions.gp_outer(g, dm)
-    if g.n <= _OUTER_REVERIFY_CAP:
-        oracle, _ = positions.gp_outer(g, dm, engine="oracle")
-        if oracle != size:
-            raise GenposError(
-                f"gp_o engine disagreement on {write_graph6(g)}: "
-                f"characterization={size}, oracle={oracle}"
-            )
-    return size
-
-
-def _gp_dual_value(g: Graph, dm=None) -> int:
-    dm = dm if dm is not None else all_pairs_distances(g)
-    size, _ = positions.gp_dual(g, dm)
-    if g.n <= _DUAL_REVERIFY_CAP:
-        oracle, _ = positions.gp_dual(g, dm, engine="oracle")
-        if oracle != size:
-            raise GenposError(
-                f"gp_d engine disagreement on {write_graph6(g)}: "
-                f"characterization={size}, oracle={oracle}"
-            )
-    return size
-
-
-def _gp_total_value(g: Graph, dm=None) -> int:
-    dm = dm if dm is not None else all_pairs_distances(g)
-    size, _ = positions.gp_total(g, dm)
-    oracle, _ = positions.gp_total(g, dm, engine="oracle")
-    if oracle != size:
-        raise GenposError(
-            f"gp_t engine disagreement on {write_graph6(g)}: "
-            f"characterization={size}, oracle={oracle}"
-        )
-    return size
+# shared helpers
 
 
 def _diam(dm) -> int:
@@ -166,12 +125,38 @@ def _no_universal(g: Graph) -> bool:
     return not universal_vertices(g)
 
 
-def _g6(g: Graph) -> str:
-    return write_graph6(g)
-
-
 def _pair_desc(g: Graph, h: Graph) -> str:
-    return f"{_g6(g)},{_g6(h)}"
+    return f"{write_graph6(g)},{write_graph6(h)}"
+
+
+def _family(spec: str) -> Graph:
+    return families.generate(families.parse_family(spec))
+
+
+def _cone(h: Graph) -> Graph:
+    """K1 + H: one new vertex joined to every vertex of H."""
+    return join(_family("path:1"), h)
+
+
+def _product(build, g: Graph, h: Graph, cap: int):
+    """build(g, h), or None when the product order is above cap."""
+    return None if g.n * h.n > cap else build(g, h)
+
+
+def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
+    """gp_o(G) gp_o(H), gp_o of their strong product, and b(G) b(H)."""
+    lower = positions.invariant("gp_o", g)[0] * positions.invariant("gp_o", h)[0]
+    mid = positions.invariant("gp_o", prod)[0]
+    upper = resolving.boundary(g).b * resolving.boundary(h).b
+    return lower, mid, upper
+
+
+def _outer_cone_form(h: Graph) -> tuple[str, int]:
+    """(tag, value): gp_o(H) when diam(H) = 2, else gp_o(K1 + H)."""
+    dm_h = all_pairs_distances(h)
+    if _diam(dm_h) == 2:
+        return "diam2", positions.invariant("gp_o", h, dm_h)[0]
+    return "diam_gt_2", positions.invariant("gp_o", _cone(h))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +207,7 @@ def check_s1(g: Graph) -> Verdict:
     dm = all_pairs_distances(g)
     lhs, _ = positions.max_total_oracle(dm)
     rhs = len(simplicial_vertices(g))
-    return _equalities("S1", _g6(g), {"gp_t": (lhs, rhs)})
+    return _equalities("S1", write_graph6(g), {"gp_t": (lhs, rhs)})
 
 
 def check_s2(g: Graph) -> Verdict:
@@ -230,12 +215,12 @@ def check_s2(g: Graph) -> Verdict:
     lhs, _ = positions.max_outer_oracle(dm)
     sr = resolving.strong_resolving_graph(g, dm)
     rhs, _ = cliques.max_clique(sr.full)
-    return _equalities("S2", _g6(g), {"gp_o": (lhs, rhs)})
+    return _equalities("S2", write_graph6(g), {"gp_o": (lhs, rhs)})
 
 
 def check_s3(g: Graph) -> Verdict:
     if g.n > ENUMERATION_MAX_ORDER:
-        return _skip("S3", _g6(g), f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
+        return _skip("S3", write_graph6(g), f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
     dm = all_pairs_distances(g)
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
@@ -245,10 +230,10 @@ def check_s3(g: Graph) -> Verdict:
         )
         if dual != char:
             return Verdict(
-                "S3", _g6(g), "fails",
+                "S3", write_graph6(g), "fails",
                 lhs=dual, rhs=char, counterexample=sorted(from_mask(xmask)),
             )
-    return Verdict("S3", _g6(g), "holds", lhs=full + 1, rhs=full + 1,
+    return Verdict("S3", write_graph6(g), "holds", lhs=full + 1, rhs=full + 1,
                    note="subsets checked")
 
 
@@ -256,58 +241,48 @@ def check_s4(g: Graph) -> Verdict:
     dm = all_pairs_distances(g)
     sr = resolving.strong_resolving_graph(g, dm)
     if sr.pruned is None:
-        return _skip("S4", _g6(g), "empty boundary (K1): pruned SR graph is empty")
-    lhs = _gp_outer_value(g, dm)
+        return _skip("S4", write_graph6(g), "empty boundary (K1): pruned SR graph is empty")
+    lhs = positions.invariant("gp_o", g, dm)[0]
     rhs, _ = cliques.max_clique(sr.pruned)
-    return _equalities("S4", _g6(g), {"gp_o": (lhs, rhs)})
+    return _equalities("S4", write_graph6(g), {"gp_o": (lhs, rhs)})
 
 
 def check_s6(g: Graph) -> Verdict:
     dm = all_pairs_distances(g)
     if _diam(dm) != 2:
-        return _skip("S6", _g6(g), "requires diameter 2")
-    lhs = _gp_outer_value(g, dm)
+        return _skip("S6", write_graph6(g), "requires diameter 2")
+    lhs = positions.invariant("gp_o", g, dm)[0]
     gtt = remove_true_twin_edges(g)
     checks = {"alpha_form": (lhs, cliques.independence_number(gtt)[0])}
     if _twin_free(g):
         checks["twin_free_alpha"] = (lhs, cliques.independence_number(g)[0])
     omega_form = cliques.max_clique(gtt)[0]
     note = f"omega_form_agrees={omega_form == lhs}"
-    return _equalities("S6", _g6(g), checks, note=note)
+    return _equalities("S6", write_graph6(g), checks, note=note)
 
 
 def check_s7(g: Graph) -> Verdict:
     dm = all_pairs_distances(g)
     k = _diam(dm)
     if k < 2:
-        return _skip("S7", _g6(g), "requires diameter >= 2")
-    lhs = _gp_outer_value(g, dm)
+        return _skip("S7", write_graph6(g), "requires diameter >= 2")
+    lhs = positions.invariant("gp_o", g, dm)[0]
     rhs = cliques.alpha_k(g, k - 1)[0]
     if lhs >= rhs:
-        return Verdict("S7", _g6(g), "holds", lhs=lhs, rhs=rhs)
-    return Verdict("S7", _g6(g), "fails", lhs=lhs, rhs=rhs)
+        return Verdict("S7", write_graph6(g), "holds", lhs=lhs, rhs=rhs)
+    return Verdict("S7", write_graph6(g), "fails", lhs=lhs, rhs=rhs)
 
 
 def check_s8() -> list[Verdict]:
     out = []
-    for s, r in [(2, 1), (3, 1), (3, 2)]:
-        spec = f"subdivided_star:{s},{r}"
-        g = families.generate(families.parse_family(spec))
+    for spec in ("subdivided_star:2,1", "subdivided_star:3,1", "subdivided_star:3,2",
+                 "clique_paths:2,1", "clique_paths:3,1", "clique_paths:3,2"):
+        g = _family(spec)
         dm = all_pairs_distances(g)
         n1 = basic_counts(g)[1]
         akm1 = cliques.alpha_k(g, _diam(dm) - 1)[0]
         out.append(_equalities("S8", spec, {
-            "gp_o_vs_leaves": (_gp_outer_value(g, dm), n1),
-            "alpha_km1_vs_leaves": (akm1, n1),
-        }))
-    for n, t in [(2, 1), (3, 1), (3, 2)]:
-        spec = f"clique_paths:{n},{t}"
-        g = families.generate(families.parse_family(spec))
-        dm = all_pairs_distances(g)
-        n1 = basic_counts(g)[1]
-        akm1 = cliques.alpha_k(g, _diam(dm) - 1)[0]
-        out.append(_equalities("S8", spec, {
-            "gp_o_vs_leaves": (_gp_outer_value(g, dm), n1),
+            "gp_o_vs_leaves": (positions.invariant("gp_o", g, dm)[0], n1),
             "alpha_km1_vs_leaves": (akm1, n1),
         }))
     return out
@@ -315,16 +290,16 @@ def check_s8() -> list[Verdict]:
 
 def check_s15(g: Graph) -> Verdict:
     if not _twin_free(g):
-        return _skip("S15", _g6(g), "requires a twin-free graph")
+        return _skip("S15", write_graph6(g), "requires a twin-free graph")
     dm = all_pairs_distances(g)
     if _diam(dm) != 2:
-        return _skip("S15", _g6(g), "requires diameter 2")
+        return _skip("S15", write_graph6(g), "requires diameter 2")
     if g.n * g.n > CAP_S15:
-        return _skip("S15", _g6(g), f"square order above cap {CAP_S15}")
+        return _skip("S15", write_graph6(g), f"square order above cap {CAP_S15}")
     sq = strong_product(g, g).graph
-    lhs = _gp_outer_value(sq)
+    lhs = positions.invariant("gp_o", sq)[0]
     rhs = cliques.independence_number(sq)[0]
-    return _equalities("S15", _g6(g), {"gp_o_square_vs_alpha": (lhs, rhs)})
+    return _equalities("S15", write_graph6(g), {"gp_o_square_vs_alpha": (lhs, rhs)})
 
 
 def check_s17() -> list[Verdict]:
@@ -348,22 +323,21 @@ def check_s17() -> list[Verdict]:
     out = []
     for n in (5, 7):
         spec = f"cycle_plus:{n}"
-        g = families.generate(families.parse_family(spec))
-        out.append(_equalities("S17", spec, {"gp_d": (_gp_dual_value(g), 3)}))
+        g = _family(spec)
+        out.append(_equalities("S17", spec, {"gp_d": (positions.invariant("gp_d", g)[0], 3)}))
     return out
 
 
 def check_s21(g: Graph) -> Verdict:
     if g.n < 2:
-        return _skip("S21", _g6(g), "requires order >= 2")
+        return _skip("S21", write_graph6(g), "requires order >= 2")
     dm = all_pairs_distances(g)
     g2 = resolving.g2bar(g, dm)
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
     notes = []
     if _no_universal(g):
-        joined = join(families.generate(families.parse_family("path:1")), g)
-        sr = resolving.strong_resolving_graph(joined)
+        sr = resolving.strong_resolving_graph(_cone(g))
         assert sr.pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(sr.pruned)[0])
     if _diam(dm) <= 2:
@@ -379,23 +353,17 @@ def check_s21(g: Graph) -> Verdict:
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
     if not checks:
-        return _skip("S21", _g6(g), "no clause applicable")
-    return _equalities("S21", _g6(g), checks, note="; ".join(notes))
+        return _skip("S21", write_graph6(g), "no clause applicable")
+    return _equalities("S21", write_graph6(g), checks, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
 # statement checkers (graph pairs, strong product)
 
 
-def _strong(g: Graph, h: Graph, cap: int):
-    if g.n * h.n > cap:
-        return None
-    return strong_product(g, h)
-
-
 def check_s5(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
-    pg = _strong(g, h, CAP_S5)
+    pg = _product(strong_product, g, h, CAP_S5)
     if pg is None:
         return _skip("S5", inst, f"product order above cap {CAP_S5}")
     prod = pg.graph
@@ -433,7 +401,7 @@ def check_s5(g: Graph, h: Graph) -> Verdict:
 
 def check_s9(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
-    pg = _strong(g, h, CAP_S11)
+    pg = _product(strong_product, g, h, CAP_S11)
     if pg is None:
         return _skip("S9", inst, f"product order above cap {CAP_S11}")
     lhs = sorted(simplicial_vertices(pg.graph))
@@ -447,17 +415,17 @@ def check_s9(g: Graph, h: Graph) -> Verdict:
 
 def check_s10(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
-    pg = _strong(g, h, CAP_S11)
+    pg = _product(strong_product, g, h, CAP_S11)
     if pg is None:
         return _skip("S10", inst, f"product order above cap {CAP_S11}")
-    lhs = _gp_total_value(pg.graph)
+    lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * len(simplicial_vertices(h))
     return _equalities("S10", inst, {"gp_t": (lhs, rhs)})
 
 
 def check_s11(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
-    pg = _strong(g, h, CAP_S11)
+    pg = _product(strong_product, g, h, CAP_S11)
     if pg is None:
         return _skip("S11", inst, f"product order above cap {CAP_S11}")
     prod = pg.graph
@@ -489,12 +457,10 @@ def check_s12(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
     if g.n < 2 or h.n < 2:
         return _skip("S12", inst, "requires both factors of order >= 2")
-    pg = _strong(g, h, CAP_S12)
+    pg = _product(strong_product, g, h, CAP_S12)
     if pg is None:
         return _skip("S12", inst, f"product order above cap {CAP_S12}")
-    lower = _gp_outer_value(g) * _gp_outer_value(h)
-    mid = _gp_outer_value(pg.graph)
-    upper = resolving.boundary(g).b * resolving.boundary(h).b
+    lower, mid, upper = _outer_bounds(g, h, pg.graph)
     if lower <= mid <= upper:
         return Verdict("S12", inst, "holds", lhs=[lower, mid], rhs=[mid, upper])
     return Verdict("S12", inst, "fails", lhs=[lower, mid], rhs=[mid, upper])
@@ -506,18 +472,16 @@ def check_s13(g: Graph, h: Graph) -> Verdict:
         return _skip("S13", inst, "requires both factors of order >= 2")
     if not (is_block_graph(g) and is_block_graph(h)):
         return _skip("S13", inst, "requires two block graphs")
-    pg = _strong(g, h, CAP_S12)
+    pg = _product(strong_product, g, h, CAP_S12)
     if pg is None:
         return _skip("S13", inst, f"product order above cap {CAP_S12}")
-    lower = _gp_outer_value(g) * _gp_outer_value(h)
-    mid = _gp_outer_value(pg.graph)
-    upper = resolving.boundary(g).b * resolving.boundary(h).b
+    lower, mid, upper = _outer_bounds(g, h, pg.graph)
     return _equalities("S13", inst, {"lower_vs_mid": (lower, mid),
                                      "mid_vs_upper": (mid, upper)})
 
 
 def check_s14() -> list[Verdict]:
-    c5 = families.generate(families.parse_family("cycle:5"))
+    c5 = _family("cycle:5")
     prod = strong_product(c5, c5).graph
     dm = all_pairs_distances(prod)
     char, _ = positions.gp_outer(prod, dm)
@@ -530,20 +494,16 @@ def check_s14() -> list[Verdict]:
 
 def check_s16(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
-    pg = _strong(g, h, CAP_S16)
+    pg = _product(strong_product, g, h, CAP_S16)
     if pg is None:
         return _skip("S16", inst, f"product order above cap {CAP_S16}")
-    dm = all_pairs_distances(pg.graph)
-    mid = positions.max_dual_oracle(dm)[0]
-    char = positions.gp_dual(pg.graph, dm)[0]
-    if mid != char:
-        raise GenposError(f"gp_d engine disagreement on {inst}")
+    mid = positions.invariant("gp_d", pg.graph, engine="oracle")[0]
     sg = len(simplicial_vertices(g))
     sh = len(simplicial_vertices(h))
     terms = [
         sg * h.n + sh * g.n - sg * sh,
-        g.n * _gp_dual_value(h),
-        h.n * _gp_dual_value(g),
+        g.n * positions.invariant("gp_d", h)[0],
+        h.n * positions.invariant("gp_d", g)[0],
     ]
     lower = sg * sh
     upper = min(terms)
@@ -558,11 +518,11 @@ def check_s18(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
     if not is_complete(g):
         return _skip("S18", inst, "first factor must be complete")
-    pg = _strong(g, h, CAP_S18)
+    pg = _product(strong_product, g, h, CAP_S18)
     if pg is None:
         return _skip("S18", inst, f"product order above cap {CAP_S18}")
-    lhs = _gp_dual_value(pg.graph)
-    rhs = g.n * _gp_dual_value(h)
+    lhs = positions.invariant("gp_d", pg.graph)[0]
+    rhs = g.n * positions.invariant("gp_d", h)[0]
     return _equalities("S18", inst, {"gp_d": (lhs, rhs)})
 
 
@@ -570,17 +530,11 @@ def check_s18(g: Graph, h: Graph) -> Verdict:
 # statement checkers (graph pairs, lexicographic product)
 
 
-def _lex(g: Graph, h: Graph, cap: int):
-    if g.n * h.n > cap:
-        return None
-    return lexicographic_product(g, h)
-
-
 def check_s19(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
     if g.n < 2 or h.n < 2:
         return _skip("S19", inst, "requires both factors of order >= 2")
-    pg = _lex(g, h, CAP_S11)
+    pg = _product(lexicographic_product, g, h, CAP_S11)
     if pg is None:
         return _skip("S19", inst, f"product order above cap {CAP_S11}")
     lhs = sorted(simplicial_vertices(pg.graph))
@@ -595,23 +549,19 @@ def check_s20(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
     if g.n < 2 or h.n < 2:
         return _skip("S20", inst, "requires both factors of order >= 2")
-    pg = _lex(g, h, CAP_S11)
+    pg = _product(lexicographic_product, g, h, CAP_S11)
     if pg is None:
         return _skip("S20", inst, f"product order above cap {CAP_S11}")
-    lhs = _gp_total_value(pg.graph)
+    lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * h.n if is_complete(h) else 0
     return _equalities("S20", inst, {"gp_t": (lhs, rhs)})
-
-
-def _omega(g: Graph | None) -> int | None:
-    return None if g is None else cliques.max_clique(g)[0]
 
 
 def check_s22(g: Graph, h: Graph) -> Verdict:
     inst = _pair_desc(g, h)
     if g.n < 2 or h.n < 2:
         return _skip("S22", inst, "requires both factors of order >= 2")
-    pg = _lex(g, h, CAP_S22)
+    pg = _product(lexicographic_product, g, h, CAP_S22)
     if pg is None:
         return _skip("S22", inst, f"product order above cap {CAP_S22}")
     lhs_sr = resolving.strong_resolving_graph(pg.graph)
@@ -681,18 +631,17 @@ def check_s23(g: Graph, h: Graph) -> Verdict:
         return _skip("S23", inst, "first factor must be twin-free")
     if is_complete(h):
         return _skip("S23", inst, "second factor must be non-complete")
-    pg = _lex(g, h, CAP_LEX_OUTER)
+    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
     if pg is None:
         return _skip("S23", inst, f"product order above cap {CAP_LEX_OUTER}")
     dm_h = all_pairs_distances(h)
-    lhs = _gp_outer_value(pg.graph)
-    gpo_g = _gp_outer_value(g)
+    lhs = positions.invariant("gp_o", pg.graph)[0]
+    gpo_g = positions.invariant("gp_o", g)[0]
     checks = {}
     if _no_universal(h):
-        k1h = join(families.generate(families.parse_family("path:1")), h)
-        checks["i"] = (lhs, gpo_g * _gp_outer_value(k1h))
+        checks["i"] = (lhs, gpo_g * positions.invariant("gp_o", _cone(h))[0])
     if _diam(dm_h) == 2:
-        checks["ii"] = (lhs, gpo_g * _gp_outer_value(h, dm_h))
+        checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h, dm_h)[0])
     if _twin_free(h):
         checks["iii"] = (lhs, gpo_g * cliques.independence_number(h)[0])
     if not checks:
@@ -706,11 +655,11 @@ def check_s24(g: Graph, h: Graph) -> Verdict:
         return _skip("S24", inst, "first factor must have order >= 2")
     if h.n < 2 or not is_complete(h):
         return _skip("S24", inst, "second factor must be complete of order >= 2")
-    pg = _lex(g, h, CAP_LEX_OUTER)
+    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
     if pg is None:
         return _skip("S24", inst, f"product order above cap {CAP_LEX_OUTER}")
-    lhs = _gp_outer_value(pg.graph)
-    rhs = h.n * _gp_outer_value(g)
+    lhs = positions.invariant("gp_o", pg.graph)[0]
+    rhs = h.n * positions.invariant("gp_o", g)[0]
     return _equalities("S24", inst, {"gp_o": (lhs, rhs)})
 
 
@@ -720,18 +669,11 @@ def check_s25(g: Graph, h: Graph) -> Verdict:
         return _skip("S25", inst, "first factor must be complete of order >= 2")
     if h.n < 2 or not _no_universal(h):
         return _skip("S25", inst, "second factor must have no universal vertex")
-    pg = _lex(g, h, CAP_LEX_OUTER)
+    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
     if pg is None:
         return _skip("S25", inst, f"product order above cap {CAP_LEX_OUTER}")
-    dm_h = all_pairs_distances(h)
-    lhs = _gp_outer_value(pg.graph)
-    if _diam(dm_h) == 2:
-        rhs = _gp_outer_value(h, dm_h)
-        tag = "diam2"
-    else:
-        k1h = join(families.generate(families.parse_family("path:1")), h)
-        rhs = _gp_outer_value(k1h)
-        tag = "diam_gt_2"
+    lhs = positions.invariant("gp_o", pg.graph)[0]
+    tag, rhs = _outer_cone_form(h)
     return _equalities("S25", inst, {tag: (lhs, rhs)})
 
 
@@ -741,21 +683,14 @@ def check_s26(g: Graph, h: Graph) -> Verdict:
         return _skip("S26", inst, "first factor must be non-complete")
     if h.n < 2 or not _no_universal(h):
         return _skip("S26", inst, "second factor must have no universal vertex")
-    pg = _lex(g, h, CAP_LEX_OUTER)
+    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
     if pg is None:
         return _skip("S26", inst, f"product order above cap {CAP_LEX_OUTER}")
-    dm_h = all_pairs_distances(h)
     _, srs, _ = resolving.tf_boundary_and_srs(g)
     omega_srs = cliques.max_clique(srs)[0]
-    lhs = _gp_outer_value(pg.graph)
-    if _diam(dm_h) == 2:
-        rhs = omega_srs * _gp_outer_value(h, dm_h)
-        tag = "diam2"
-    else:
-        k1h = join(families.generate(families.parse_family("path:1")), h)
-        rhs = omega_srs * _gp_outer_value(k1h)
-        tag = "diam_gt_2"
-    return _equalities("S26", inst, {tag: (lhs, rhs)})
+    lhs = positions.invariant("gp_o", pg.graph)[0]
+    tag, gpo = _outer_cone_form(h)
+    return _equalities("S26", inst, {tag: (lhs, omega_srs * gpo)})
 
 
 def check_s27(g: Graph, h: Graph) -> Verdict:
@@ -765,14 +700,15 @@ def check_s27(g: Graph, h: Graph) -> Verdict:
     if not simplicial_vertices(g) and not simplicial_vertices(h):
         if g.n * h.n <= CAP_S27_ZERO:
             pg = lexicographic_product(g, h)
-            checks["no_simplicial_zero"] = (_gp_dual_value(pg.graph), 0)
+            checks["no_simplicial_zero"] = (positions.invariant("gp_d", pg.graph)[0], 0)
         else:
             notes.append(f"i: product order above cap {CAP_S27_ZERO}")
     if is_complete(h):
         if g.n * h.n <= CAP_S27_COMPLETE:
             pg = lexicographic_product(g, h)
             checks["complete_layer_product"] = (
-                _gp_dual_value(pg.graph), h.n * _gp_dual_value(g)
+                positions.invariant("gp_d", pg.graph)[0],
+                h.n * positions.invariant("gp_d", g)[0],
             )
         else:
             notes.append(f"ii: product order above cap {CAP_S27_COMPLETE}")
@@ -924,7 +860,7 @@ def parse_corpus(spec: str) -> Corpus:
         if current:
             out.append(current)
         return Corpus(
-            graphs=tuple(families.generate(families.parse_family(t)) for t in out)
+            graphs=tuple(_family(t) for t in out)
         )
     if spec.startswith("pairs:"):
         body = spec[len("pairs:"):]

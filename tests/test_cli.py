@@ -1,8 +1,14 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
+from genpos import statements
 from genpos.cli import main
+
+# SHA-256 of `verify --statements all --corpus exhaustive:4`; a change that
+# moves it must say why the verdict stream changed.
+EXHAUSTIVE_4_SHA256 = "633600286e2b35ca918063d8b8619a089119bf57a5fa6108849253eb8da9a32b"
 
 
 def run(capsys, *argv):
@@ -91,6 +97,24 @@ def test_verify_exit_1_on_fails(capsys):
     assert code == 1
     lines = [json.loads(l) for l in out.splitlines()]
     assert lines[-1]["fails"] == 1
+
+
+def test_verify_exhaustive_4_stream_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--statements", "all", "--corpus", "exhaustive:4")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_4_SHA256
+
+
+def test_internal_error_exits_2(capsys, monkeypatch):
+    def crash(g, h):
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setitem(statements.STATEMENTS, "S10",
+                        statements.Statement("S10", "pair", "crashes", crash))
+    code, out, err = run(capsys, "verify", "--statements", "S10", "--corpus", "exhaustive:3")
+    assert code == 2
+    assert "RuntimeError: injected crash" in err and "Traceback" in err
+    assert '"summary"' not in out
 
 
 def test_verify_unknown_statement(capsys):

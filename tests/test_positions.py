@@ -1,19 +1,23 @@
 """Position predicates, both solver engines, and their agreement."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpos import families
-from genpos.errors import DomainError
+from genpos import families, positions
+from genpos.errors import DomainError, GenposError
+from genpos.graph6 import write_graph6
 from genpos.graphs import Graph, all_pairs_distances, is_connected
 from genpos.positions import (
+    CROSS_CHECK_CAPS,
     compute_bundle,
     gp_dual,
     gp_number,
     gp_outer,
     gp_total,
+    invariant,
     is_convex,
     is_dual_gp,
     is_general_position,
@@ -27,6 +31,8 @@ from genpos.positions import (
     restrict_to_isometric_subgraph,
     structure_bundle,
 )
+from genpos.products import strong_product
+from genpos.statements import check_statement
 
 
 def path(n):
@@ -248,3 +254,51 @@ def test_structure_bundle_for_disconnected():
     assert b["connected"] is False and b["n"] == 5
     with pytest.raises(DomainError):
         compute_bundle(g)
+
+
+# --------------------------------------------------------------------------
+# the cross-check policy
+
+
+def _off_by_one(fn):
+    def wrong(dm):
+        size, witness = fn(dm)
+        return size + 1, witness
+    return wrong
+
+
+def _disagreement(key, g, first, second):
+    return re.escape(f"{key} engine disagreement on {write_graph6(g)}: {first}, {second}")
+
+
+def test_cross_check_catches_an_outer_disagreement(monkeypatch):
+    c10 = cycle(10)
+    monkeypatch.setattr(positions, "max_outer_oracle",
+                        _off_by_one(positions.max_outer_oracle))
+    expected = _disagreement("gp_o", c10, "characterization=2", "oracle=3")
+    with pytest.raises(GenposError, match=expected):
+        compute_bundle(c10)
+    p3 = path(3)
+    expected = _disagreement("gp_o", p3, "characterization=2", "oracle=3")
+    with pytest.raises(GenposError, match=expected):
+        check_statement("S12", (p3, path(4)))
+    assert compute_bundle(c10, cross_check=False)["gp_o"] == 2
+    assert invariant("gp_o", c10, cross_check=False)[0] == 2
+
+
+def test_cross_check_catches_a_dual_disagreement_in_s16(monkeypatch):
+    prod = strong_product(path(2), path(3)).graph
+    size = max_dual_oracle(all_pairs_distances(prod))[0]
+    monkeypatch.setattr(positions, "_max_dual_characterization",
+                        _off_by_one(positions._max_dual_characterization))
+    expected = _disagreement("gp_d", prod, f"oracle={size}", f"characterization={size + 1}")
+    with pytest.raises(GenposError, match=expected):
+        check_statement("S16", (path(2), path(3)))
+
+
+def test_cross_check_stops_above_its_cap(monkeypatch):
+    cap = CROSS_CHECK_CAPS["gp_d"]
+    monkeypatch.setattr(positions, "max_dual_oracle", _off_by_one(positions.max_dual_oracle))
+    with pytest.raises(GenposError, match="gp_d"):
+        invariant("gp_d", cycle(cap))
+    assert invariant("gp_d", cycle(cap + 1)) == gp_dual(cycle(cap + 1))
