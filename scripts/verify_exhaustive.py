@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from genpos.statements import parse_corpus, run_suite
+from genpos.statements import parse_corpus, parse_statement_ids, run_suite
 
 
 def main() -> int:
@@ -22,7 +22,7 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    ids = args.statements.split(",") if args.statements else None
+    ids = parse_statement_ids(args.statements)
     worst = 0
     for n in range(args.min_n, args.max_n + 1):
         corpus = parse_corpus(f"exhaustive:{n}")

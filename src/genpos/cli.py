@@ -82,10 +82,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.statements in (None, "all"):
-        ids = None
-    else:
-        ids = [s.strip() for s in args.statements.split(",") if s.strip()]
+    ids = statements.parse_statement_ids(args.statements)
     corpus = statements.parse_corpus(args.corpus) if args.corpus else statements.Corpus()
     verdicts, summary = statements.run_suite(corpus, ids, jobs=args.jobs)
     for v in verdicts:
@@ -146,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated ids, or 'all'")
     p_ver.add_argument("--corpus", default=None,
                        help="exhaustive:n | file:path | family:... | pairs:AxB")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at least 1")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cor = sub.add_parser("corpus", help="stream a corpus as graph6 lines")

@@ -8,14 +8,7 @@ Works on disconnected inputs, which strong resolving graphs often are.
 from __future__ import annotations
 
 from .errors import DomainError
-from .graphs import (
-    Graph,
-    all_pairs_distances,
-    complement,
-    from_mask,
-    is_connected,
-    iter_bits,
-)
+from .graphs import Graph, complement, from_mask, iter_bits, require_connected
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
@@ -89,9 +82,7 @@ def alpha_k(g: Graph, k: int) -> tuple[int, frozenset[int]]:
     """Largest set with pairwise distance > k; alpha_1 is the independence number."""
     if k < 1:
         raise DomainError("alpha_k requires k >= 1")
-    if not is_connected(g):
-        raise DomainError("alpha_k requires a connected graph")
-    dm = all_pairs_distances(g)
+    dm = require_connected(g, "alpha_k")
     rows = [0] * g.n
     for u in range(g.n):
         for v in range(u + 1, g.n):

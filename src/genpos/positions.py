@@ -24,8 +24,8 @@ from .graph6 import write_graph6
 from .graphs import (
     DistanceMatrix,
     Graph,
-    all_pairs_distances,
     basic_counts,
+    distances,
     from_mask,
     induced_subgraph,
     is_connected,
@@ -69,12 +69,12 @@ def is_total_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
     """Every geodesic between members of X stays inside X."""
     xmask = to_mask(X)
-    return _pairs_avoid(dm, xmask, ~xmask)
+    return _pairs_avoid(dm.blockers, xmask, ~xmask)
 
 
-def _pairs_avoid(dm: DistanceMatrix, pairs: int, forbidden: int) -> bool:
-    """No pair inside ``pairs`` has a ``forbidden`` vertex strictly between."""
-    blockers = dm.blockers
+def _pairs_avoid(blockers: list[list[int]], pairs: int, forbidden: int) -> bool:
+    """No pair inside ``pairs`` has a ``forbidden`` vertex strictly between
+    (``blockers`` is a ``DistanceMatrix.blockers`` table)."""
     for u in iter_bits(pairs):
         bu = blockers[u]
         for v in iter_bits(pairs >> (u + 1) << (u + 1)):
@@ -84,7 +84,7 @@ def _pairs_avoid(dm: DistanceMatrix, pairs: int, forbidden: int) -> bool:
 
 
 def _is_gp_mask(dm: DistanceMatrix, xmask: int) -> bool:
-    return _pairs_avoid(dm, xmask, xmask)
+    return _pairs_avoid(dm.blockers, xmask, xmask)
 
 
 def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
@@ -99,7 +99,7 @@ def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
 
 def _is_dual_mask(dm: DistanceMatrix, xmask: int) -> bool:
     comp = ~xmask & ((1 << dm.n) - 1)
-    return _is_gp_mask(dm, xmask) and _pairs_avoid(dm, comp, xmask)
+    return _is_gp_mask(dm, xmask) and _pairs_avoid(dm.blockers, comp, xmask)
 
 
 # ---------------------------------------------------------------------------
@@ -229,42 +229,32 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Maximize |X| over general position sets whose complement is convex."""
     full = (1 << dm.n) - 1
-    return _max_gp_search(dm, lambda xmask: _pairs_avoid(dm, ~xmask & full, xmask))
+    blockers = dm.blockers
+    return _max_gp_search(dm, lambda xmask: _pairs_avoid(blockers, ~xmask & full, xmask))
 
 
-def gp_number(g: Graph, dm: DistanceMatrix | None = None) -> tuple[int, frozenset[int]]:
-    require_connected(g, "gp_number")
-    return max_gp_oracle(dm or all_pairs_distances(g))
+def gp_number(g: Graph) -> tuple[int, frozenset[int]]:
+    return max_gp_oracle(require_connected(g, "gp_number"))
 
 
-def gp_total(
-    g: Graph, dm: DistanceMatrix | None = None, engine: str = "characterization"
-) -> tuple[int, frozenset[int]]:
-    require_connected(g, "gp_total")
+def gp_total(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
+    dm = require_connected(g, "gp_total")
     if engine == "oracle":
-        return max_total_oracle(dm or all_pairs_distances(g))
+        return max_total_oracle(dm)
     s = simplicial_vertices(g)
     return len(s), s
 
 
-def gp_outer(
-    g: Graph, dm: DistanceMatrix | None = None, engine: str = "characterization"
-) -> tuple[int, frozenset[int]]:
-    require_connected(g, "gp_outer")
-    if dm is None:
-        dm = all_pairs_distances(g)
+def gp_outer(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
+    dm = require_connected(g, "gp_outer")
     if engine == "oracle":
         return max_outer_oracle(dm)
-    sr = resolving.strong_resolving_graph(g, dm)
+    sr = resolving.strong_resolving_graph(g)
     return cliques.max_clique(sr.full)
 
 
-def gp_dual(
-    g: Graph, dm: DistanceMatrix | None = None, engine: str = "characterization"
-) -> tuple[int, frozenset[int]]:
-    require_connected(g, "gp_dual")
-    if dm is None:
-        dm = all_pairs_distances(g)
+def gp_dual(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
+    dm = require_connected(g, "gp_dual")
     if engine == "oracle":
         return max_dual_oracle(dm)
     return _max_dual_characterization(dm)
@@ -281,7 +271,6 @@ CROSS_CHECK_CAPS = {"gp_t": None, "gp_o": 40, "gp_d": 16}
 def invariant(
     key: str,
     g: Graph,
-    dm: DistanceMatrix | None = None,
     engine: str = "characterization",
     cross_check: bool = True,
 ) -> tuple[int, frozenset[int]]:
@@ -289,13 +278,11 @@ def invariant(
     the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree."""
     # looked up per call, so wrappers placed on the module names see the calls
     compute = {"gp_t": gp_total, "gp_o": gp_outer, "gp_d": gp_dual}[key]
-    if dm is None:
-        dm = all_pairs_distances(g)
-    size, witness = compute(g, dm, engine=engine)
+    size, witness = compute(g, engine=engine)
     cap = CROSS_CHECK_CAPS[key]
     if cross_check and (cap is None or g.n <= cap):
         other = "oracle" if engine != "oracle" else "characterization"
-        check, _ = compute(g, dm, engine=other)
+        check, _ = compute(g, engine=other)
         if check != size:
             raise GenposError(
                 f"{key} engine disagreement on {write_graph6(g)}: "
@@ -313,8 +300,8 @@ def restrict_to_isometric_subgraph(
 ) -> frozenset[int]:
     """X restricted to an isometric induced subgraph, in subgraph labels."""
     subgraph, labels = induced_subgraph(g, sub)
-    dm_g = all_pairs_distances(g)
-    dm_s = all_pairs_distances(subgraph)
+    dm_g = distances(g)
+    dm_s = distances(subgraph)
     for i, u in enumerate(labels):
         for j, v in enumerate(labels):
             if dm_s.dist[i][j] != dm_g.dist[u][v]:
@@ -336,16 +323,15 @@ def compute_bundle(
     cross_check: bool = True,
 ) -> dict:
     """All invariants of one connected graph as a JSON-ready dict."""
-    require_connected(g, "invariants")
-    dm = all_pairs_distances(g)
+    dm = require_connected(g, "invariants")
     n, n1, _ = basic_counts(g)
-    diam = int(max(max(row) for row in dm.dist))
-    rep = resolving.boundary(g, dm)
+    diam = dm.diameter
+    rep = resolving.boundary(g)
     omega, omega_w = cliques.max_clique(g)
     alpha, alpha_w = cliques.independence_number(g)
     gp, gp_w = max_gp_oracle(dm)
     vals = {
-        key: invariant(key, g, dm, engine=engine, cross_check=cross_check)
+        key: invariant(key, g, engine=engine, cross_check=cross_check)
         for key in CROSS_CHECK_CAPS
     }
     bundle = {

@@ -14,7 +14,7 @@ from .errors import DomainError
 from .graphs import (
     DistanceMatrix,
     Graph,
-    all_pairs_distances,
+    distances,
     from_mask,
     induced_subgraph,
     is_complete,
@@ -26,7 +26,7 @@ from .graphs import (
 
 def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     """True when no neighbor of u is farther from v than u is (asymmetric)."""
-    if not dm.is_connected_matrix():
+    if not dm.connected:
         raise DomainError("maximal distance requires a connected graph")
     duv = dm.dist[u][v]
     return all(dm.dist[v][w] <= duv for w in iter_bits(g.adj[u]))
@@ -42,10 +42,8 @@ class BoundaryReport:
         return len(self.boundary)
 
 
-def boundary(g: Graph, dm: DistanceMatrix | None = None) -> BoundaryReport:
-    require_connected(g, "boundary")
-    if dm is None:
-        dm = all_pairs_distances(g)
+def boundary(g: Graph) -> BoundaryReport:
+    dm = require_connected(g, "boundary")
     pairs = []
     members = 0
     for u in range(g.n):
@@ -63,8 +61,8 @@ class SRGraph:
     pruned_labels: tuple[int, ...]  # pruned index -> original vertex
 
 
-def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGraph:
-    report = boundary(g, dm)
+def strong_resolving_graph(g: Graph) -> SRGraph:
+    report = boundary(g)
     full = Graph.from_edges(g.n, sorted(report.mmd_pairs))
     if report.boundary:
         pruned, labels = induced_subgraph(full, report.boundary)
@@ -73,11 +71,9 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGrap
     return SRGraph(full, None, ())
 
 
-def g2bar(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
+def g2bar(g: Graph) -> Graph:
     """Edges join pairs at distance >= 2 and true-twin pairs."""
-    require_connected(g, "g2bar")
-    if dm is None:
-        dm = all_pairs_distances(g)
+    dm = require_connected(g, "g2bar")
     closed = [g.closed_neighborhood(v) for v in range(g.n)]
     edges = []
     for u in range(g.n):
@@ -95,9 +91,7 @@ def prune_isolated(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:
     return induced_subgraph(g, keep)
 
 
-def tf_boundary_and_srs(
-    g: Graph, dm: DistanceMatrix | None = None
-) -> tuple[frozenset[int], Graph, tuple[int, ...]]:
+def tf_boundary_and_srs(g: Graph) -> tuple[frozenset[int], Graph, tuple[int, ...]]:
     """TF-boundary and the SRS graph on it (labels map back to g).
 
     Vertices are boundary vertices with a non-true-twin MMD partner; SRS edges
@@ -106,9 +100,7 @@ def tf_boundary_and_srs(
     if is_complete(g):
         raise DomainError("the TF-boundary is defined for non-complete graphs only")
     require_connected(g, "tf_boundary")
-    if dm is None:
-        dm = all_pairs_distances(g)
-    report = boundary(g, dm)
+    report = boundary(g)
     closed = [g.closed_neighborhood(v) for v in range(g.n)]
     edges = [(u, v) for (u, v) in report.mmd_pairs if closed[u] != closed[v]]
     if not edges:
@@ -129,18 +121,14 @@ def check_mmd_product_cases(
     h: Graph,
     pair_g: tuple[int, int],
     pair_h: tuple[int, int],
-    dm_g: DistanceMatrix | None = None,
-    dm_h: DistanceMatrix | None = None,
 ) -> tuple[bool, str | None]:
     """Evaluate the five factor-level conditions equivalent to (g1,h1),(g2,h2)
     being MMD in the strong product; returns (holds, first matching case tag).
     """
-    require_connected(g, "mmd product cases")
-    require_connected(h, "mmd product cases")
-    if dm_g is None:
-        dm_g = all_pairs_distances(g)
-    if dm_h is None:
-        dm_h = all_pairs_distances(h)
+    dm_g = distances(g)
+    dm_h = distances(h)
+    if not (dm_g.connected and dm_h.connected):
+        raise DomainError("mmd product cases requires a connected graph")
     g1, g2 = pair_g
     h1, h2 = pair_h
     mmd_g = (

@@ -23,8 +23,8 @@ from .errors import CapacityError, SpecError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     Graph,
-    all_pairs_distances,
     basic_counts,
+    distances,
     from_mask,
     is_block_graph,
     is_complete,
@@ -113,10 +113,6 @@ def _equalities(sid: str, instance: str, checks: dict[str, tuple], note: str = "
 # shared helpers
 
 
-def _diam(dm) -> int:
-    return int(max(max(row) for row in dm.dist))
-
-
 def _twin_free(g: Graph) -> bool:
     return not true_twin_pairs(g)
 
@@ -153,9 +149,8 @@ def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
 
 def _outer_cone_form(h: Graph) -> tuple[str, int]:
     """(tag, value): gp_o(H) when diam(H) = 2, else gp_o(K1 + H)."""
-    dm_h = all_pairs_distances(h)
-    if _diam(dm_h) == 2:
-        return "diam2", positions.invariant("gp_o", h, dm_h)[0]
+    if distances(h).diameter == 2:
+        return "diam2", positions.invariant("gp_o", h)[0]
     return "diam_gt_2", positions.invariant("gp_o", _cone(h))[0]
 
 
@@ -204,16 +199,14 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def check_s1(g: Graph) -> Verdict:
-    dm = all_pairs_distances(g)
-    lhs, _ = positions.max_total_oracle(dm)
+    lhs, _ = positions.max_total_oracle(distances(g))
     rhs = len(simplicial_vertices(g))
     return _equalities("S1", write_graph6(g), {"gp_t": (lhs, rhs)})
 
 
 def check_s2(g: Graph) -> Verdict:
-    dm = all_pairs_distances(g)
-    lhs, _ = positions.max_outer_oracle(dm)
-    sr = resolving.strong_resolving_graph(g, dm)
+    lhs, _ = positions.max_outer_oracle(distances(g))
+    sr = resolving.strong_resolving_graph(g)
     rhs, _ = cliques.max_clique(sr.full)
     return _equalities("S2", write_graph6(g), {"gp_o": (lhs, rhs)})
 
@@ -221,7 +214,7 @@ def check_s2(g: Graph) -> Verdict:
 def check_s3(g: Graph) -> Verdict:
     if g.n > ENUMERATION_MAX_ORDER:
         return _skip("S3", write_graph6(g), f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
-    dm = all_pairs_distances(g)
+    dm = distances(g)
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
         dual = positions._is_dual_mask(dm, xmask)
@@ -238,20 +231,18 @@ def check_s3(g: Graph) -> Verdict:
 
 
 def check_s4(g: Graph) -> Verdict:
-    dm = all_pairs_distances(g)
-    sr = resolving.strong_resolving_graph(g, dm)
+    sr = resolving.strong_resolving_graph(g)
     if sr.pruned is None:
         return _skip("S4", write_graph6(g), "empty boundary (K1): pruned SR graph is empty")
-    lhs = positions.invariant("gp_o", g, dm)[0]
+    lhs = positions.invariant("gp_o", g)[0]
     rhs, _ = cliques.max_clique(sr.pruned)
     return _equalities("S4", write_graph6(g), {"gp_o": (lhs, rhs)})
 
 
 def check_s6(g: Graph) -> Verdict:
-    dm = all_pairs_distances(g)
-    if _diam(dm) != 2:
+    if distances(g).diameter != 2:
         return _skip("S6", write_graph6(g), "requires diameter 2")
-    lhs = positions.invariant("gp_o", g, dm)[0]
+    lhs = positions.invariant("gp_o", g)[0]
     gtt = remove_true_twin_edges(g)
     checks = {"alpha_form": (lhs, cliques.independence_number(gtt)[0])}
     if _twin_free(g):
@@ -262,11 +253,10 @@ def check_s6(g: Graph) -> Verdict:
 
 
 def check_s7(g: Graph) -> Verdict:
-    dm = all_pairs_distances(g)
-    k = _diam(dm)
+    k = distances(g).diameter
     if k < 2:
         return _skip("S7", write_graph6(g), "requires diameter >= 2")
-    lhs = positions.invariant("gp_o", g, dm)[0]
+    lhs = positions.invariant("gp_o", g)[0]
     rhs = cliques.alpha_k(g, k - 1)[0]
     if lhs >= rhs:
         return Verdict("S7", write_graph6(g), "holds", lhs=lhs, rhs=rhs)
@@ -278,11 +268,10 @@ def check_s8() -> list[Verdict]:
     for spec in ("subdivided_star:2,1", "subdivided_star:3,1", "subdivided_star:3,2",
                  "clique_paths:2,1", "clique_paths:3,1", "clique_paths:3,2"):
         g = _family(spec)
-        dm = all_pairs_distances(g)
         n1 = basic_counts(g)[1]
-        akm1 = cliques.alpha_k(g, _diam(dm) - 1)[0]
+        akm1 = cliques.alpha_k(g, distances(g).diameter - 1)[0]
         out.append(_equalities("S8", spec, {
-            "gp_o_vs_leaves": (positions.invariant("gp_o", g, dm)[0], n1),
+            "gp_o_vs_leaves": (positions.invariant("gp_o", g)[0], n1),
             "alpha_km1_vs_leaves": (akm1, n1),
         }))
     return out
@@ -291,8 +280,7 @@ def check_s8() -> list[Verdict]:
 def check_s15(g: Graph) -> Verdict:
     if not _twin_free(g):
         return _skip("S15", write_graph6(g), "requires a twin-free graph")
-    dm = all_pairs_distances(g)
-    if _diam(dm) != 2:
+    if distances(g).diameter != 2:
         return _skip("S15", write_graph6(g), "requires diameter 2")
     if g.n * g.n > CAP_S15:
         return _skip("S15", write_graph6(g), f"square order above cap {CAP_S15}")
@@ -331,8 +319,7 @@ def check_s17() -> list[Verdict]:
 def check_s21(g: Graph) -> Verdict:
     if g.n < 2:
         return _skip("S21", write_graph6(g), "requires order >= 2")
-    dm = all_pairs_distances(g)
-    g2 = resolving.g2bar(g, dm)
+    g2 = resolving.g2bar(g)
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
     notes = []
@@ -340,9 +327,9 @@ def check_s21(g: Graph) -> Verdict:
         sr = resolving.strong_resolving_graph(_cone(g))
         assert sr.pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(sr.pruned)[0])
-    if _diam(dm) <= 2:
+    if distances(g).diameter <= 2:
         pruned_g2, _ = resolving.prune_isolated(g2)
-        sr = resolving.strong_resolving_graph(g, dm)
+        sr = resolving.strong_resolving_graph(g)
         if pruned_g2 is None or sr.pruned is None:
             notes.append("ii: pruned graph empty")
         else:
@@ -367,7 +354,7 @@ def check_s5(g: Graph, h: Graph) -> Verdict:
     if pg is None:
         return _skip("S5", inst, f"product order above cap {CAP_S5}")
     prod = pg.graph
-    dm = all_pairs_distances(prod)
+    dm = distances(prod)
     sets = {
         "gp": positions.max_gp_oracle(dm)[1],
         "outer": positions.max_outer_oracle(dm)[1],
@@ -385,7 +372,7 @@ def check_s5(g: Graph, h: Graph) -> Verdict:
     checked = 0
     for sub in layers:
         subgraph, _ = induced_subgraph(prod, sub)
-        dm_sub = all_pairs_distances(subgraph)
+        dm_sub = distances(subgraph)
         for name, X in sets.items():
             restricted = positions.restrict_to_isometric_subgraph(prod, sub, X)
             if not predicates[name](dm_sub, restricted):
@@ -429,19 +416,12 @@ def check_s11(g: Graph, h: Graph) -> Verdict:
     if pg is None:
         return _skip("S11", inst, f"product order above cap {CAP_S11}")
     prod = pg.graph
-    dm_p = all_pairs_distances(prod)
-    dm_g = all_pairs_distances(g)
-    dm_h = all_pairs_distances(h)
-    direct = {
-        (u, v) for (u, v) in resolving.boundary(prod, dm_p).mmd_pairs
-    }
+    direct = resolving.boundary(prod).mmd_pairs
     for x in range(prod.n):
         for y in range(x + 1, prod.n):
             a, b = pg.decode(x)
             c, d = pg.decode(y)
-            by_cases, _ = resolving.check_mmd_product_cases(
-                g, h, (a, c), (b, d), dm_g, dm_h
-            )
+            by_cases, _ = resolving.check_mmd_product_cases(g, h, (a, c), (b, d))
             if by_cases != ((x, y) in direct):
                 return Verdict(
                     "S11", inst, "fails",
@@ -483,9 +463,8 @@ def check_s13(g: Graph, h: Graph) -> Verdict:
 def check_s14() -> list[Verdict]:
     c5 = _family("cycle:5")
     prod = strong_product(c5, c5).graph
-    dm = all_pairs_distances(prod)
-    char, _ = positions.gp_outer(prod, dm)
-    oracle, _ = positions.gp_outer(prod, dm, engine="oracle")
+    char, _ = positions.gp_outer(prod)
+    oracle, _ = positions.gp_outer(prod, engine="oracle")
     return [_equalities("S14", "strong(cycle:5,cycle:5)", {
         "characterization": (char, 5),
         "oracle": (oracle, 5),
@@ -634,14 +613,13 @@ def check_s23(g: Graph, h: Graph) -> Verdict:
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
     if pg is None:
         return _skip("S23", inst, f"product order above cap {CAP_LEX_OUTER}")
-    dm_h = all_pairs_distances(h)
     lhs = positions.invariant("gp_o", pg.graph)[0]
     gpo_g = positions.invariant("gp_o", g)[0]
     checks = {}
     if _no_universal(h):
         checks["i"] = (lhs, gpo_g * positions.invariant("gp_o", _cone(h))[0])
-    if _diam(dm_h) == 2:
-        checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h, dm_h)[0])
+    if distances(h).diameter == 2:
+        checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h)[0])
     if _twin_free(h):
         checks["iii"] = (lhs, gpo_g * cliques.independence_number(h)[0])
     if not checks:
@@ -884,8 +862,19 @@ def parse_corpus(spec: str) -> Corpus:
 # suite runner
 
 
+def parse_statement_ids(text: str | None) -> list[str] | None:
+    """Ids from a comma-separated list such as ``"S1, S2"``; None (every
+    statement) for ``None`` or ``"all"``."""
+    if text in (None, "all"):
+        return None
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _run_instance(args):
     sid, payload = args
+    # Each task starts with no memoized distances, so what it computes does
+    # not depend on which tasks its pool worker happened to run before.
+    distances.cache_clear()
     return check_statement(sid, payload)
 
 
@@ -895,6 +884,8 @@ def run_suite(
     jobs: int = 1,
 ) -> tuple[list[Verdict], dict]:
     """Run statements over a corpus; verdicts sorted by (statement, instance)."""
+    if jobs < 1:
+        raise SpecError(f"jobs must be at least 1, got {jobs}")
     ids = statement_ids or sorted(STATEMENTS, key=lambda s: int(s[1:]))
     for sid in ids:
         if sid not in STATEMENTS:

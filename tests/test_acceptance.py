@@ -61,7 +61,7 @@ def test_criterion_01_characterization_equals_definition():
         if positions.max_total_oracle(dm)[0] != len(simplicial_vertices(g)):
             bad += 1
             continue
-        sr = resolving.strong_resolving_graph(g, dm)
+        sr = resolving.strong_resolving_graph(g)
         outer = positions.max_outer_oracle(dm)[0]
         if outer != cliques.max_clique(sr.full)[0]:
             bad += 1
@@ -104,8 +104,8 @@ def test_criterion_04_c5_strong_square_outer_is_5():
     c5 = emit(families.generate(families.parse_family("cycle:5")))
     prod = emit(strong_product(c5, c5).graph)
     dm = all_pairs_distances(prod)
-    char = positions.gp_outer(prod, dm)[0]
-    oracle = positions.gp_outer(prod, dm, engine="oracle")[0]
+    char = positions.gp_outer(prod)[0]
+    oracle = positions.gp_outer(prod, engine="oracle")[0]
     report(4, char == oracle == 5,
            f"gp_o(C5 strong C5): characterization={char}, oracle={oracle}")
 

@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from genpos import statements
 from genpos.cli import main
@@ -138,6 +143,28 @@ def test_verify_jobs_output_identical(capsys):
     _, out1, _ = run(capsys, *base, "--jobs", "1")
     _, out2, _ = run(capsys, *base, "--jobs", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--statements", "S17", "--jobs", jobs)
+    assert code == 2
+    assert f"jobs must be at least 1, got {jobs}" in err
+    assert out == ""
+
+
+def test_verify_exhaustive_script_strips_statement_ids():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(statements.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_exhaustive.py"),
+         "--statements", "S1, S2", "--min-n", "3", "--max-n", "3"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n=3: 4 graphs, 8 verdicts, 0 fails")
 
 
 def test_statements_listing(capsys):

@@ -13,6 +13,7 @@ from genpos.graphs import (
     complement,
     diameter,
     disjoint_union,
+    distances,
     from_mask,
     induced_subgraph,
     is_block_graph,
@@ -121,6 +122,18 @@ def test_connectivity_and_diameter():
     assert diameter(path(5)) == 4
     assert diameter(cycle(6)) == 3
     assert diameter(complete(4)) == 1
+
+
+def test_distances_memo_is_keyed_by_equal_graphs():
+    g = path(4)
+    twin = Graph(g.n, tuple(g.adj))
+    assert twin == g and twin is not g
+    assert distances(twin) is distances(g)
+    dm = distances(g)
+    assert dm.dist == all_pairs_distances(g).dist
+    assert dm.connected and dm.diameter == 3
+    split = distances(disjoint_union([path(2), path(2)]))
+    assert not split.connected and split.diameter == math.inf
 
 
 def test_simplicial_vertices():

@@ -59,6 +59,13 @@ def test_maximal_distance_needs_connected_graph():
         is_maximally_distant(g, all_pairs_distances(g), 0, 2)
 
 
+def test_five_cases_need_connected_factors():
+    split = Graph.from_edges(3, [(0, 1)])
+    for g, h in ((split, path(3)), (path(3), split)):
+        with pytest.raises(DomainError, match="mmd product cases requires a connected graph"):
+            check_mmd_product_cases(g, h, (0, 1), (0, 1))
+
+
 def test_boundary_known_values():
     assert boundary(cycle(5)).b == 5
     assert boundary(path(4)).boundary == frozenset({0, 3})
@@ -133,7 +140,7 @@ def test_five_cases_match_direct_product_mmd(ng, nh, bg, bh):
     h = random_connected(nh, bh)
     p = strong_product(g, h)
     dm = all_pairs_distances(p.graph)
-    direct = boundary(p.graph, dm).mmd_pairs
+    direct = boundary(p.graph).mmd_pairs
     for x in range(p.graph.n):
         for y in range(x + 1, p.graph.n):
             a, b = p.decode(x)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from genpos import graphs
 from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
 from genpos.graph6 import write_graph6
-from genpos.graphs import Graph
+from genpos.graphs import Graph, distances
+from genpos.products import strong_product
 from genpos.statements import (
     STATEMENTS,
     Corpus,
@@ -197,3 +199,20 @@ def test_s22_small_instance_includes_isomorphism():
     v = check_statement("S22", (path(3), path(2)))[0]
     assert v.outcome == "holds"
     assert any(k.startswith("iso_") for k in v.lhs)
+
+
+def test_one_pair_statement_builds_each_distance_matrix_once(monkeypatch):
+    built = []
+    original = graphs.all_pairs_distances
+
+    def counting(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counting)
+    g, h = cycle(5), path(3)
+    distances.cache_clear()
+    [verdict] = check_statement("S12", (g, h))
+    assert verdict.outcome == "holds"
+    prod = strong_product(g, h).graph
+    assert sorted(built, key=lambda x: (x.n, x.adj)) == [h, g, prod]
