@@ -52,35 +52,14 @@ def parse_family(text: str) -> FamilySpec:
     return spec
 
 
-_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "star": 1,
-    "subdivided_star": 2,
-    "clique_paths": 2,
-    "cycle_plus": 1,
-    "random": 3,
-}
-
-
 def _validate(spec: FamilySpec) -> None:
     tag, p = spec.tag, spec.params
-    if tag not in _ARITY:
+    if tag not in _FAMILIES:
         raise SpecError(f"unknown family tag {tag!r}")
-    if len(p) != _ARITY[tag]:
-        raise SpecError(f"family {tag!r} expects {_ARITY[tag]} parameter(s), got {len(p)}")
-    ok = {
-        "path": lambda: p[0] >= 1,
-        "cycle": lambda: p[0] >= 3,
-        "complete": lambda: p[0] >= 1,
-        "star": lambda: p[0] >= 1,
-        "subdivided_star": lambda: p[0] >= 2 and p[1] >= 0,
-        "clique_paths": lambda: p[0] >= 2 and p[1] >= 1,
-        "cycle_plus": lambda: p[0] >= 3,
-        "random": lambda: p[0] >= 1 and 0 < p[1] < 1000,
-    }[tag]
-    if not ok():
+    arity, in_range, _ = _FAMILIES[tag]
+    if len(p) != arity:
+        raise SpecError(f"family {tag!r} expects {arity} parameter(s), got {len(p)}")
+    if not in_range(*p):
         raise SpecError(f"parameters out of range for family spec {spec}")
 
 
@@ -89,22 +68,7 @@ def generate(spec: FamilySpec) -> Graph:
         assert spec.joined is not None
         return join(generate(spec.joined[0]), generate(spec.joined[1]))
     _validate(spec)
-    p = spec.params
-    if spec.tag == "path":
-        return _path(p[0])
-    if spec.tag == "cycle":
-        return _cycle(p[0])
-    if spec.tag == "complete":
-        return _complete(p[0])
-    if spec.tag == "star":
-        return _star(p[0])
-    if spec.tag == "subdivided_star":
-        return _subdivided_star(p[0], p[1])
-    if spec.tag == "clique_paths":
-        return _clique_paths(p[0], p[1])
-    if spec.tag == "cycle_plus":
-        return _cycle_plus(p[0])
-    return _random_connected(p[0], p[1], p[2])
+    return _FAMILIES[spec.tag][2](*spec.params)
 
 
 def _path(n: int) -> Graph:
@@ -171,3 +135,16 @@ def _random_connected(n: int, p_milli: int, seed: int) -> Graph:
         f"random:{n},{p_milli},{seed} produced no connected graph "
         f"in {_RANDOM_ATTEMPTS} attempts"
     )
+
+
+# tag -> (parameter count, range check, builder); "join" is parsed separately.
+_FAMILIES = {
+    "path": (1, lambda n: n >= 1, _path),
+    "cycle": (1, lambda n: n >= 3, _cycle),
+    "complete": (1, lambda n: n >= 1, _complete),
+    "star": (1, lambda s: s >= 1, _star),
+    "subdivided_star": (2, lambda s, r: s >= 2 and r >= 0, _subdivided_star),
+    "clique_paths": (2, lambda n, t: n >= 2 and t >= 1, _clique_paths),
+    "cycle_plus": (1, lambda n: n >= 3, _cycle_plus),
+    "random": (3, lambda n, p, _seed: n >= 1 and 0 < p < 1000, _random_connected),
+}

@@ -21,6 +21,7 @@ from .graphs import (
     iter_bits,
     require_connected,
     to_mask,
+    true_twin_pairs,
 )
 
 
@@ -74,11 +75,11 @@ def strong_resolving_graph(g: Graph) -> SRGraph:
 def g2bar(g: Graph) -> Graph:
     """Edges join pairs at distance >= 2 and true-twin pairs."""
     dm = require_connected(g, "g2bar")
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
+    twins = true_twin_pairs(g)
     edges = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if dm.dist[u][v] >= 2 or closed[u] == closed[v]:
+            if dm.dist[u][v] >= 2 or (u, v) in twins:
                 edges.append((u, v))
     return Graph.from_edges(g.n, edges)
 
@@ -101,8 +102,7 @@ def tf_boundary_and_srs(g: Graph) -> tuple[frozenset[int], Graph, tuple[int, ...
         raise DomainError("the TF-boundary is defined for non-complete graphs only")
     require_connected(g, "tf_boundary")
     report = boundary(g)
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
-    edges = [(u, v) for (u, v) in report.mmd_pairs if closed[u] != closed[v]]
+    edges = report.mmd_pairs - true_twin_pairs(g)
     if not edges:
         # Cannot happen for a connected non-complete graph: a diametral pair
         # is MMD and non-adjacent, hence not true twins.

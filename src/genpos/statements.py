@@ -3,7 +3,10 @@
 Every statement id S1..S27 maps to a checker that mechanically tests its
 hypotheses (connectivity, order, twin-freeness, diameter, completeness,
 block-graph structure, size caps) and returns a verdict: holds, fails, or
-precondition-not-met.  The suite's central property is zero fails: the
+precondition-not-met.  A checker is registered once, by ``@statement``,
+which names its instance and turns a failed ``_need`` (or ``_product`` above
+its cap) into the precondition-not-met verdict; the checker itself keeps
+only the mathematics.  The suite's central property is zero fails: the
 statements are proved facts, so a failing verdict flags an implementation
 bug.  The one documented exception is S17 on ``cycle_plus:7``, where the
 claimed gp_d = 3 is not attained (the value is 1; see ``check_s17``), so a
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial, wraps
 from typing import Callable
 
 from . import cliques, families, positions, resolving
@@ -58,7 +62,7 @@ CAP_S15 = 36
 
 
 # ---------------------------------------------------------------------------
-# verdicts
+# verdicts and the registry
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,58 @@ class Verdict:
         return out
 
 
-def _skip(sid: str, instance: str, note: str) -> Verdict:
-    return Verdict(sid, instance, "precondition-not-met", note=note)
+@dataclass(frozen=True)
+class Statement:
+    sid: str
+    arity: str  # "graph" | "pair" | "fixed"
+    description: str
+    checker: Callable
 
 
-def _equalities(sid: str, instance: str, checks: dict[str, tuple], note: str = "") -> Verdict:
+STATEMENTS: dict[str, Statement] = {}
+
+
+class _Unmet(Exception):
+    """A failed precondition; its message is the verdict's note."""
+
+
+def _need(ok: bool, note: str) -> None:
+    """End the checker with a precondition-not-met verdict unless ok."""
+    if not ok:
+        raise _Unmet(note)
+
+
+def statement(sid: str, arity: str, description: str):
+    """Register the decorated checker in STATEMENTS as statement sid.
+
+    A graph or pair checker ``fn(verdict, g[, h])`` receives a Verdict
+    factory bound to sid and the instance name, the graph6 of each argument
+    joined by commas; a failed ``_need`` inside it becomes the
+    precondition-not-met verdict with that note.  A fixed checker
+    ``fn(verdict)`` names its own instances, so its factory is bound to sid
+    only.  The decorated name is the registered checker: ``check_sN(g[, h])``
+    returns one Verdict, a fixed ``check_sN()`` a list of them.
+    """
+
+    def register(fn):
+        if arity == "fixed":
+            def checker():
+                return fn(partial(Verdict, sid))
+        else:
+            def checker(*graphs):
+                verdict = partial(Verdict, sid, ",".join(write_graph6(g) for g in graphs))
+                try:
+                    return fn(verdict, *graphs)
+                except _Unmet as unmet:
+                    return verdict("precondition-not-met", note=str(unmet))
+        checker = wraps(fn)(checker)
+        STATEMENTS[sid] = Statement(sid, arity, description, checker)
+        return checker
+
+    return register
+
+
+def _equalities(verdict, checks: dict[str, tuple], note: str = "") -> Verdict:
     """Verdict from named lhs==rhs checks; any mismatch is a fail."""
     bad = {k: [l, r] for k, (l, r) in checks.items() if l != r}
     lhs = {k: v[0] for k, v in checks.items()}
@@ -105,8 +156,17 @@ def _equalities(sid: str, instance: str, checks: dict[str, tuple], note: str = "
         (lhs,) = lhs.values()
         (rhs,) = rhs.values()
     if bad:
-        return Verdict(sid, instance, "fails", lhs, rhs, counterexample=bad, note=note)
-    return Verdict(sid, instance, "holds", lhs, rhs, note=note)
+        return verdict("fails", lhs, rhs, counterexample=bad, note=note)
+    return verdict("holds", lhs, rhs, note=note)
+
+
+def _holds_if(verdict, ok: bool, lhs, rhs, note: str = "") -> Verdict:
+    return verdict("holds" if ok else "fails", lhs, rhs, note=note)
+
+
+def _bounds(verdict, lower: int, mid: int, upper: int, note: str = "") -> Verdict:
+    """Holds when lower <= mid <= upper; lhs [lower, mid], rhs [mid, upper]."""
+    return _holds_if(verdict, lower <= mid <= upper, [lower, mid], [mid, upper], note)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +181,6 @@ def _no_universal(g: Graph) -> bool:
     return not universal_vertices(g)
 
 
-def _pair_desc(g: Graph, h: Graph) -> str:
-    return f"{write_graph6(g)},{write_graph6(h)}"
-
-
 def _family(spec: str) -> Graph:
     return families.generate(families.parse_family(spec))
 
@@ -135,8 +191,9 @@ def _cone(h: Graph) -> Graph:
 
 
 def _product(build, g: Graph, h: Graph, cap: int):
-    """build(g, h), or None when the product order is above cap."""
-    return None if g.n * h.n > cap else build(g, h)
+    """build(g, h); a precondition that the product order is at most cap."""
+    _need(g.n * h.n <= cap, f"product order above cap {cap}")
+    return build(g, h)
 
 
 def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
@@ -198,22 +255,24 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 # statement checkers (single graph)
 
 
-def check_s1(g: Graph) -> Verdict:
+@statement("S1", "graph", "total general position number equals the simplicial count")
+def check_s1(verdict, g: Graph) -> Verdict:
     lhs, _ = positions.max_total_oracle(distances(g))
     rhs = len(simplicial_vertices(g))
-    return _equalities("S1", write_graph6(g), {"gp_t": (lhs, rhs)})
+    return _equalities(verdict, {"gp_t": (lhs, rhs)})
 
 
-def check_s2(g: Graph) -> Verdict:
+@statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
+def check_s2(verdict, g: Graph) -> Verdict:
     lhs, _ = positions.max_outer_oracle(distances(g))
     sr = resolving.strong_resolving_graph(g)
     rhs, _ = cliques.max_clique(sr.full)
-    return _equalities("S2", write_graph6(g), {"gp_o": (lhs, rhs)})
+    return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-def check_s3(g: Graph) -> Verdict:
-    if g.n > ENUMERATION_MAX_ORDER:
-        return _skip("S3", write_graph6(g), f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
+@statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)")
+def check_s3(verdict, g: Graph) -> Verdict:
+    _need(g.n <= ENUMERATION_MAX_ORDER, f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
     dm = distances(g)
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
@@ -222,26 +281,23 @@ def check_s3(g: Graph) -> Verdict:
             dm, from_mask(~xmask & full)
         )
         if dual != char:
-            return Verdict(
-                "S3", write_graph6(g), "fails",
-                lhs=dual, rhs=char, counterexample=sorted(from_mask(xmask)),
-            )
-    return Verdict("S3", write_graph6(g), "holds", lhs=full + 1, rhs=full + 1,
-                   note="subsets checked")
+            return verdict("fails", lhs=dual, rhs=char,
+                           counterexample=sorted(from_mask(xmask)))
+    return verdict("holds", lhs=full + 1, rhs=full + 1, note="subsets checked")
 
 
-def check_s4(g: Graph) -> Verdict:
+@statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o")
+def check_s4(verdict, g: Graph) -> Verdict:
     sr = resolving.strong_resolving_graph(g)
-    if sr.pruned is None:
-        return _skip("S4", write_graph6(g), "empty boundary (K1): pruned SR graph is empty")
+    _need(sr.pruned is not None, "empty boundary (K1): pruned SR graph is empty")
     lhs = positions.invariant("gp_o", g)[0]
     rhs, _ = cliques.max_clique(sr.pruned)
-    return _equalities("S4", write_graph6(g), {"gp_o": (lhs, rhs)})
+    return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-def check_s6(g: Graph) -> Verdict:
-    if distances(g).diameter != 2:
-        return _skip("S6", write_graph6(g), "requires diameter 2")
+@statement("S6", "graph", "diameter-2 graphs: gp_o equals the independence number after removing twin edges")
+def check_s6(verdict, g: Graph) -> Verdict:
+    _need(distances(g).diameter == 2, "requires diameter 2")
     lhs = positions.invariant("gp_o", g)[0]
     gtt = remove_true_twin_edges(g)
     checks = {"alpha_form": (lhs, cliques.independence_number(gtt)[0])}
@@ -249,48 +305,46 @@ def check_s6(g: Graph) -> Verdict:
         checks["twin_free_alpha"] = (lhs, cliques.independence_number(g)[0])
     omega_form = cliques.max_clique(gtt)[0]
     note = f"omega_form_agrees={omega_form == lhs}"
-    return _equalities("S6", write_graph6(g), checks, note=note)
+    return _equalities(verdict, checks, note=note)
 
 
-def check_s7(g: Graph) -> Verdict:
+@statement("S7", "graph", "gp_o is at least the (diam-1)-independence number")
+def check_s7(verdict, g: Graph) -> Verdict:
     k = distances(g).diameter
-    if k < 2:
-        return _skip("S7", write_graph6(g), "requires diameter >= 2")
+    _need(k >= 2, "requires diameter >= 2")
     lhs = positions.invariant("gp_o", g)[0]
     rhs = cliques.alpha_k(g, k - 1)[0]
-    if lhs >= rhs:
-        return Verdict("S7", write_graph6(g), "holds", lhs=lhs, rhs=rhs)
-    return Verdict("S7", write_graph6(g), "fails", lhs=lhs, rhs=rhs)
+    return _holds_if(verdict, lhs >= rhs, lhs, rhs)
 
 
-def check_s8() -> list[Verdict]:
+@statement("S8", "fixed", "sharpness families: subdivided stars and clique-with-paths graphs")
+def check_s8(verdict) -> list[Verdict]:
     out = []
     for spec in ("subdivided_star:2,1", "subdivided_star:3,1", "subdivided_star:3,2",
                  "clique_paths:2,1", "clique_paths:3,1", "clique_paths:3,2"):
         g = _family(spec)
         n1 = basic_counts(g)[1]
         akm1 = cliques.alpha_k(g, distances(g).diameter - 1)[0]
-        out.append(_equalities("S8", spec, {
+        out.append(_equalities(partial(verdict, spec), {
             "gp_o_vs_leaves": (positions.invariant("gp_o", g)[0], n1),
             "alpha_km1_vs_leaves": (akm1, n1),
         }))
     return out
 
 
-def check_s15(g: Graph) -> Verdict:
-    if not _twin_free(g):
-        return _skip("S15", write_graph6(g), "requires a twin-free graph")
-    if distances(g).diameter != 2:
-        return _skip("S15", write_graph6(g), "requires diameter 2")
-    if g.n * g.n > CAP_S15:
-        return _skip("S15", write_graph6(g), f"square order above cap {CAP_S15}")
+@statement("S15", "graph", "twin-free diameter-2 graphs: gp_o of the strong square equals its independence number")
+def check_s15(verdict, g: Graph) -> Verdict:
+    _need(_twin_free(g), "requires a twin-free graph")
+    _need(distances(g).diameter == 2, "requires diameter 2")
+    _need(g.n * g.n <= CAP_S15, f"square order above cap {CAP_S15}")
     sq = strong_product(g, g).graph
     lhs = positions.invariant("gp_o", sq)[0]
     rhs = cliques.independence_number(sq)[0]
-    return _equalities("S15", write_graph6(g), {"gp_o_square_vs_alpha": (lhs, rhs)})
+    return _equalities(verdict, {"gp_o_square_vs_alpha": (lhs, rhs)})
 
 
-def check_s17() -> list[Verdict]:
+@statement("S17", "fixed", "gp_d of odd cycles with a pendant vertex is 3")
+def check_s17(verdict) -> list[Verdict]:
     """gp_d of the 5- and 7-cycle with a pendant vertex against the claimed 3.
 
     The claim holds only for n = 3 and n = 5.  Both engines and a networkx
@@ -312,13 +366,14 @@ def check_s17() -> list[Verdict]:
     for n in (5, 7):
         spec = f"cycle_plus:{n}"
         g = _family(spec)
-        out.append(_equalities("S17", spec, {"gp_d": (positions.invariant("gp_d", g)[0], 3)}))
+        out.append(_equalities(partial(verdict, spec),
+                               {"gp_d": (positions.invariant("gp_d", g)[0], 3)}))
     return out
 
 
-def check_s21(g: Graph) -> Verdict:
-    if g.n < 2:
-        return _skip("S21", write_graph6(g), "requires order >= 2")
+@statement("S21", "graph", "clique identities for the distance>=2-or-twins graph")
+def check_s21(verdict, g: Graph) -> Verdict:
+    _need(g.n >= 2, "requires order >= 2")
     g2 = resolving.g2bar(g)
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
@@ -339,20 +394,17 @@ def check_s21(g: Graph) -> Verdict:
             )
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
-    if not checks:
-        return _skip("S21", write_graph6(g), "no clause applicable")
-    return _equalities("S21", write_graph6(g), checks, note="; ".join(notes))
+    _need(bool(checks), "no clause applicable")
+    return _equalities(verdict, checks, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
 # statement checkers (graph pairs, strong product)
 
 
-def check_s5(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S5", "pair", "restriction to an isometric layer preserves all four properties")
+def check_s5(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S5)
-    if pg is None:
-        return _skip("S5", inst, f"product order above cap {CAP_S5}")
     prod = pg.graph
     dm = distances(prod)
     sets = {
@@ -376,45 +428,35 @@ def check_s5(g: Graph, h: Graph) -> Verdict:
         for name, X in sets.items():
             restricted = positions.restrict_to_isometric_subgraph(prod, sub, X)
             if not predicates[name](dm_sub, restricted):
-                return Verdict(
-                    "S5", inst, "fails", lhs=name,
-                    counterexample=sorted(restricted),
-                    note="restriction lost the property on a layer",
-                )
+                return verdict("fails", lhs=name, counterexample=sorted(restricted),
+                               note="restriction lost the property on a layer")
             checked += 1
-    return Verdict("S5", inst, "holds", lhs=checked, rhs=checked,
-                   note="property-layer checks")
+    return verdict("holds", lhs=checked, rhs=checked, note="property-layer checks")
 
 
-def check_s9(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S9", "pair", "simplicial vertices of a strong product are the simplicial pairs")
+def check_s9(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S11)
-    if pg is None:
-        return _skip("S9", inst, f"product order above cap {CAP_S11}")
     lhs = sorted(simplicial_vertices(pg.graph))
     rhs = sorted(
         pg.encode(a, b)
         for a in simplicial_vertices(g)
         for b in simplicial_vertices(h)
     )
-    return _equalities("S9", inst, {"simplicial_set": (lhs, rhs)})
+    return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-def check_s10(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S10", "pair", "gp_t of a strong product is the product of simplicial counts")
+def check_s10(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S11)
-    if pg is None:
-        return _skip("S10", inst, f"product order above cap {CAP_S11}")
     lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * len(simplicial_vertices(h))
-    return _equalities("S10", inst, {"gp_t": (lhs, rhs)})
+    return _equalities(verdict, {"gp_t": (lhs, rhs)})
 
 
-def check_s11(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products")
+def check_s11(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S11)
-    if pg is None:
-        return _skip("S11", inst, f"product order above cap {CAP_S11}")
     prod = pg.graph
     direct = resolving.boundary(prod).mmd_pairs
     for x in range(prod.n):
@@ -423,59 +465,43 @@ def check_s11(g: Graph, h: Graph) -> Verdict:
             c, d = pg.decode(y)
             by_cases, _ = resolving.check_mmd_product_cases(g, h, (a, c), (b, d))
             if by_cases != ((x, y) in direct):
-                return Verdict(
-                    "S11", inst, "fails",
-                    lhs=(x, y) in direct, rhs=by_cases,
-                    counterexample=[[a, b], [c, d]],
-                )
-    return Verdict("S11", inst, "holds",
-                   lhs=prod.n * (prod.n - 1) // 2, rhs=prod.n * (prod.n - 1) // 2,
-                   note="product vertex pairs checked")
+                return verdict("fails", lhs=(x, y) in direct, rhs=by_cases,
+                               counterexample=[[a, b], [c, d]])
+    pairs = prod.n * (prod.n - 1) // 2
+    return verdict("holds", lhs=pairs, rhs=pairs, note="product vertex pairs checked")
 
 
-def check_s12(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S12", inst, "requires both factors of order >= 2")
+@statement("S12", "pair", "outer bounds for strong products: gp_o(G)gp_o(H) <= gp_o <= b(G)b(H)")
+def check_s12(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(strong_product, g, h, CAP_S12)
-    if pg is None:
-        return _skip("S12", inst, f"product order above cap {CAP_S12}")
-    lower, mid, upper = _outer_bounds(g, h, pg.graph)
-    if lower <= mid <= upper:
-        return Verdict("S12", inst, "holds", lhs=[lower, mid], rhs=[mid, upper])
-    return Verdict("S12", inst, "fails", lhs=[lower, mid], rhs=[mid, upper])
+    return _bounds(verdict, *_outer_bounds(g, h, pg.graph))
 
 
-def check_s13(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S13", inst, "requires both factors of order >= 2")
-    if not (is_block_graph(g) and is_block_graph(h)):
-        return _skip("S13", inst, "requires two block graphs")
+@statement("S13", "pair", "block-graph factors collapse the outer bounds to equality")
+def check_s13(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
+    _need(is_block_graph(g) and is_block_graph(h), "requires two block graphs")
     pg = _product(strong_product, g, h, CAP_S12)
-    if pg is None:
-        return _skip("S13", inst, f"product order above cap {CAP_S12}")
     lower, mid, upper = _outer_bounds(g, h, pg.graph)
-    return _equalities("S13", inst, {"lower_vs_mid": (lower, mid),
-                                     "mid_vs_upper": (mid, upper)})
+    return _equalities(verdict, {"lower_vs_mid": (lower, mid), "mid_vs_upper": (mid, upper)})
 
 
-def check_s14() -> list[Verdict]:
+@statement("S14", "fixed", "gp_o of the strong square of the 5-cycle is 5")
+def check_s14(verdict) -> list[Verdict]:
     c5 = _family("cycle:5")
     prod = strong_product(c5, c5).graph
     char, _ = positions.gp_outer(prod)
     oracle, _ = positions.gp_outer(prod, engine="oracle")
-    return [_equalities("S14", "strong(cycle:5,cycle:5)", {
+    return [_equalities(partial(verdict, "strong(cycle:5,cycle:5)"), {
         "characterization": (char, 5),
         "oracle": (oracle, 5),
     })]
 
 
-def check_s16(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S16", "pair", "dual bounds for strong products (three-term upper bound)")
+def check_s16(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S16)
-    if pg is None:
-        return _skip("S16", inst, f"product order above cap {CAP_S16}")
     mid = positions.invariant("gp_d", pg.graph, engine="oracle")[0]
     sg = len(simplicial_vertices(g))
     sh = len(simplicial_vertices(h))
@@ -484,65 +510,47 @@ def check_s16(g: Graph, h: Graph) -> Verdict:
         g.n * positions.invariant("gp_d", h)[0],
         h.n * positions.invariant("gp_d", g)[0],
     ]
-    lower = sg * sh
-    upper = min(terms)
-    if lower <= mid <= upper:
-        return Verdict("S16", inst, "holds", lhs=[lower, mid], rhs=[mid, upper],
-                       note=f"upper_terms={terms}")
-    return Verdict("S16", inst, "fails", lhs=[lower, mid], rhs=[mid, upper],
-                   note=f"upper_terms={terms}")
+    return _bounds(verdict, sg * sh, mid, min(terms), note=f"upper_terms={terms}")
 
 
-def check_s18(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if not is_complete(g):
-        return _skip("S18", inst, "first factor must be complete")
+@statement("S18", "pair", "gp_d of a complete-by-H strong product is n times gp_d(H)")
+def check_s18(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(is_complete(g), "first factor must be complete")
     pg = _product(strong_product, g, h, CAP_S18)
-    if pg is None:
-        return _skip("S18", inst, f"product order above cap {CAP_S18}")
     lhs = positions.invariant("gp_d", pg.graph)[0]
     rhs = g.n * positions.invariant("gp_d", h)[0]
-    return _equalities("S18", inst, {"gp_d": (lhs, rhs)})
+    return _equalities(verdict, {"gp_d": (lhs, rhs)})
 
 
 # ---------------------------------------------------------------------------
 # statement checkers (graph pairs, lexicographic product)
 
 
-def check_s19(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S19", inst, "requires both factors of order >= 2")
+@statement("S19", "pair", "simplicial vertices of a lexicographic product (complete vs non-complete H)")
+def check_s19(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_S11)
-    if pg is None:
-        return _skip("S19", inst, f"product order above cap {CAP_S11}")
     lhs = sorted(simplicial_vertices(pg.graph))
     if is_complete(h):
         rhs = sorted(pg.encode(a, b) for a in simplicial_vertices(g) for b in range(h.n))
     else:
         rhs = []
-    return _equalities("S19", inst, {"simplicial_set": (lhs, rhs)})
+    return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-def check_s20(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S20", inst, "requires both factors of order >= 2")
+@statement("S20", "pair", "gp_t of a lexicographic product (complete vs non-complete H)")
+def check_s20(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_S11)
-    if pg is None:
-        return _skip("S20", inst, f"product order above cap {CAP_S11}")
     lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * h.n if is_complete(h) else 0
-    return _equalities("S20", inst, {"gp_t": (lhs, rhs)})
+    return _equalities(verdict, {"gp_t": (lhs, rhs)})
 
 
-def check_s22(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S22", inst, "requires both factors of order >= 2")
+@statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product")
+def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_S22)
-    if pg is None:
-        return _skip("S22", inst, f"product order above cap {CAP_S22}")
     lhs_sr = resolving.strong_resolving_graph(pg.graph)
     assert lhs_sr.pruned is not None
     lhs_graph = lhs_sr.pruned
@@ -582,8 +590,7 @@ def check_s22(g: Graph, h: Graph) -> Verdict:
         applicable.append("iii")
     if not is_complete(g) and _no_universal(h):
         applicable.append("iv")
-    if not applicable:
-        return _skip("S22", inst, "no clause applicable")
+    _need(bool(applicable), "no clause applicable")
 
     checks = {}
     notes = []
@@ -597,22 +604,16 @@ def check_s22(g: Graph, h: Graph) -> Verdict:
             checks[f"iso_{item}"] = (True, brute_force_isomorphic(lhs_graph, rhs_graph))
         else:
             notes.append(f"{item}: isomorphism skipped above {ISO_MAX_ORDER} vertices")
-    if not checks:
-        return _skip("S22", inst, "; ".join(notes))
-    return _equalities("S22", inst, checks, note="; ".join(notes))
+    _need(bool(checks), "; ".join(notes))
+    return _equalities(verdict, checks, note="; ".join(notes))
 
 
-def check_s23(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or h.n < 2:
-        return _skip("S23", inst, "requires both factors of order >= 2")
-    if not _twin_free(g):
-        return _skip("S23", inst, "first factor must be twin-free")
-    if is_complete(h):
-        return _skip("S23", inst, "second factor must be non-complete")
+@statement("S23", "pair", "gp_o of lexicographic products with a twin-free first factor")
+def check_s23(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
+    _need(_twin_free(g), "first factor must be twin-free")
+    _need(not is_complete(h), "second factor must be non-complete")
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
-    if pg is None:
-        return _skip("S23", inst, f"product order above cap {CAP_LEX_OUTER}")
     lhs = positions.invariant("gp_o", pg.graph)[0]
     gpo_g = positions.invariant("gp_o", g)[0]
     checks = {}
@@ -622,57 +623,44 @@ def check_s23(g: Graph, h: Graph) -> Verdict:
         checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h)[0])
     if _twin_free(h):
         checks["iii"] = (lhs, gpo_g * cliques.independence_number(h)[0])
-    if not checks:
-        return _skip("S23", inst, "no clause applicable")
-    return _equalities("S23", inst, checks)
+    _need(bool(checks), "no clause applicable")
+    return _equalities(verdict, checks)
 
 
-def check_s24(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2:
-        return _skip("S24", inst, "first factor must have order >= 2")
-    if h.n < 2 or not is_complete(h):
-        return _skip("S24", inst, "second factor must be complete of order >= 2")
+@statement("S24", "pair", "gp_o of a lexicographic product with a complete second factor")
+def check_s24(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2, "first factor must have order >= 2")
+    _need(h.n >= 2 and is_complete(h), "second factor must be complete of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
-    if pg is None:
-        return _skip("S24", inst, f"product order above cap {CAP_LEX_OUTER}")
     lhs = positions.invariant("gp_o", pg.graph)[0]
     rhs = h.n * positions.invariant("gp_o", g)[0]
-    return _equalities("S24", inst, {"gp_o": (lhs, rhs)})
+    return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-def check_s25(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if g.n < 2 or not is_complete(g):
-        return _skip("S25", inst, "first factor must be complete of order >= 2")
-    if h.n < 2 or not _no_universal(h):
-        return _skip("S25", inst, "second factor must have no universal vertex")
+@statement("S25", "pair", "gp_o of a lexicographic product with a complete first factor")
+def check_s25(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(g.n >= 2 and is_complete(g), "first factor must be complete of order >= 2")
+    _need(h.n >= 2 and _no_universal(h), "second factor must have no universal vertex")
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
-    if pg is None:
-        return _skip("S25", inst, f"product order above cap {CAP_LEX_OUTER}")
     lhs = positions.invariant("gp_o", pg.graph)[0]
     tag, rhs = _outer_cone_form(h)
-    return _equalities("S25", inst, {tag: (lhs, rhs)})
+    return _equalities(verdict, {tag: (lhs, rhs)})
 
 
-def check_s26(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
-    if is_complete(g):
-        return _skip("S26", inst, "first factor must be non-complete")
-    if h.n < 2 or not _no_universal(h):
-        return _skip("S26", inst, "second factor must have no universal vertex")
+@statement("S26", "pair", "gp_o via the SRS graph when the first factor has twins")
+def check_s26(verdict, g: Graph, h: Graph) -> Verdict:
+    _need(not is_complete(g), "first factor must be non-complete")
+    _need(h.n >= 2 and _no_universal(h), "second factor must have no universal vertex")
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
-    if pg is None:
-        return _skip("S26", inst, f"product order above cap {CAP_LEX_OUTER}")
     _, srs, _ = resolving.tf_boundary_and_srs(g)
     omega_srs = cliques.max_clique(srs)[0]
     lhs = positions.invariant("gp_o", pg.graph)[0]
     tag, gpo = _outer_cone_form(h)
-    return _equalities("S26", inst, {tag: (lhs, omega_srs * gpo)})
+    return _equalities(verdict, {tag: (lhs, omega_srs * gpo)})
 
 
-def check_s27(g: Graph, h: Graph) -> Verdict:
-    inst = _pair_desc(g, h)
+@statement("S27", "pair", "dual number of lexicographic products (zero case and complete layers)")
+def check_s27(verdict, g: Graph, h: Graph) -> Verdict:
     checks = {}
     notes = []
     if not simplicial_vertices(g) and not simplicial_vertices(h):
@@ -690,55 +678,8 @@ def check_s27(g: Graph, h: Graph) -> Verdict:
             )
         else:
             notes.append(f"ii: product order above cap {CAP_S27_COMPLETE}")
-    if not checks:
-        return _skip("S27", inst, "; ".join(notes) or "no clause applicable")
-    return _equalities("S27", inst, checks, note="; ".join(notes))
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class Statement:
-    sid: str
-    arity: str  # "graph" | "pair" | "fixed"
-    description: str
-    checker: Callable
-
-
-STATEMENTS: dict[str, Statement] = {
-    s.sid: s
-    for s in [
-        Statement("S1", "graph", "total general position number equals the simplicial count", check_s1),
-        Statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph", check_s2),
-        Statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)", check_s3),
-        Statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o", check_s4),
-        Statement("S5", "pair", "restriction to an isometric layer preserves all four properties", check_s5),
-        Statement("S6", "graph", "diameter-2 graphs: gp_o equals the independence number after removing twin edges", check_s6),
-        Statement("S7", "graph", "gp_o is at least the (diam-1)-independence number", check_s7),
-        Statement("S8", "fixed", "sharpness families: subdivided stars and clique-with-paths graphs", check_s8),
-        Statement("S9", "pair", "simplicial vertices of a strong product are the simplicial pairs", check_s9),
-        Statement("S10", "pair", "gp_t of a strong product is the product of simplicial counts", check_s10),
-        Statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products", check_s11),
-        Statement("S12", "pair", "outer bounds for strong products: gp_o(G)gp_o(H) <= gp_o <= b(G)b(H)", check_s12),
-        Statement("S13", "pair", "block-graph factors collapse the outer bounds to equality", check_s13),
-        Statement("S14", "fixed", "gp_o of the strong square of the 5-cycle is 5", check_s14),
-        Statement("S15", "graph", "twin-free diameter-2 graphs: gp_o of the strong square equals its independence number", check_s15),
-        Statement("S16", "pair", "dual bounds for strong products (three-term upper bound)", check_s16),
-        Statement("S17", "fixed", "gp_d of odd cycles with a pendant vertex is 3", check_s17),
-        Statement("S18", "pair", "gp_d of a complete-by-H strong product is n times gp_d(H)", check_s18),
-        Statement("S19", "pair", "simplicial vertices of a lexicographic product (complete vs non-complete H)", check_s19),
-        Statement("S20", "pair", "gp_t of a lexicographic product (complete vs non-complete H)", check_s20),
-        Statement("S21", "graph", "clique identities for the distance>=2-or-twins graph", check_s21),
-        Statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product", check_s22),
-        Statement("S23", "pair", "gp_o of lexicographic products with a twin-free first factor", check_s23),
-        Statement("S24", "pair", "gp_o of a lexicographic product with a complete second factor", check_s24),
-        Statement("S25", "pair", "gp_o of a lexicographic product with a complete first factor", check_s25),
-        Statement("S26", "pair", "gp_o via the SRS graph when the first factor has twins", check_s26),
-        Statement("S27", "pair", "dual number of lexicographic products (zero case and complete layers)", check_s27),
-    ]
-}
+    _need(bool(checks), "; ".join(notes) or "no clause applicable")
+    return _equalities(verdict, checks, note="; ".join(notes))
 
 
 def check_statement(sid: str, instance=None) -> list[Verdict]:
@@ -801,15 +742,7 @@ class Corpus:
     def derived_graphs(self) -> tuple[Graph, ...]:
         if self.graphs:
             return self.graphs
-        seen = set()
-        out = []
-        for a, b in self.pairs:
-            for g in (a, b):
-                key = write_graph6(g)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-        return tuple(out)
+        return tuple(dict.fromkeys(g for pair in self.pairs for g in pair))
 
 
 def parse_corpus(spec: str) -> Corpus:

@@ -167,6 +167,23 @@ def test_verify_exhaustive_script_strips_statement_ids():
     assert proc.stdout.startswith("n=3: 4 graphs, 8 verdicts, 0 fails")
 
 
+@pytest.mark.parametrize("argv", [("--statements", "bogus"), ("--jobs", "0")])
+def test_verify_exhaustive_script_bad_argument_exits_2(argv):
+    # exit 1 is "some statement fails", so a bad argument must not end with it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(statements.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_exhaustive.py"),
+         *argv, "--max-n", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_statements_listing(capsys):
     code, out, _ = run(capsys, "statements")
     assert code == 0

@@ -216,3 +216,19 @@ def test_one_pair_statement_builds_each_distance_matrix_once(monkeypatch):
     assert verdict.outcome == "holds"
     prod = strong_product(g, h).graph
     assert sorted(built, key=lambda x: (x.n, x.adj)) == [h, g, prod]
+
+
+@pytest.mark.parametrize("sid,g,h,note", [
+    ("S5", "path:5", "path:5", "product order above cap 16"),
+    ("S16", "cycle:5", "path:4", "product order above cap 16"),
+    ("S13", "cycle:4", "path:3", "requires two block graphs"),
+    ("S23", "complete:3", "path:3", "first factor must be twin-free"),
+    ("S23", "path:7", "path:6", "product order above cap 36"),
+    ("S27", "cycle:6", "cycle:5", "i: product order above cap 25"),
+    ("S18", "path:4", "complete:3", "first factor must be complete"),
+])
+def test_skip_notes(sid, g, h, note):
+    pair = (generate(parse_family(g)), generate(parse_family(h)))
+    [v] = check_statement(sid, pair)
+    assert (v.outcome, v.note) == ("precondition-not-met", note)
+    assert v.instance == f"{write_graph6(pair[0])},{write_graph6(pair[1])}"
