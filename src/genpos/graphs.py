@@ -88,22 +88,27 @@ class Graph:
 
 
 class DistanceMatrix:
-    """All-pairs hop distances with the derived strict-betweenness predicate.
+    """All-pairs hop distances with the derived strict-betweenness predicate
+    and the mutual-maximal-distance relation.
 
-    ``dist[u][v]`` is an int hop count or ``INF`` across components.  The
-    blocker mask of an unordered pair (u,v) is the bitmask of vertices w with
-    w != u, w != v and d(u,w) + d(w,v) = d(u,v), i.e. the strict interiors of
-    the u,v-geodesics.  ``diameter`` is INF exactly when the graph is
-    disconnected (``connected`` is False).
+    ``dist[u][v]`` is an int hop count or ``INF`` across components.
+    ``layers[s][d]`` is the mask of vertices at distance d from s, ending with
+    one empty mask, so ``layers[s][1]`` is N(s).  The blocker mask of an
+    unordered pair (u,v) is the bitmask of vertices w with w != u, w != v and
+    d(u,w) + d(w,v) = d(u,v), i.e. the strict interiors of the u,v-geodesics.
+    ``diameter`` is INF exactly when the graph is disconnected (``connected``
+    is False).
     """
 
-    def __init__(self, dist: list[list[float]]):
+    def __init__(self, dist: list[list[float]], layers: list[list[int]]):
         self.dist = dist
+        self.layers = layers
         self.n = len(dist)
         self.diameter = max(max(row) for row in dist)
         self.connected = self.diameter != INF
         self._blockers: list[list[int]] | None = None
         self._rowunion: list[int] | None = None
+        self._mmd: list[int] | None = None
 
     @property
     def blockers(self) -> list[list[int]]:
@@ -146,16 +151,39 @@ class DistanceMatrix:
             acc |= m
         return acc
 
+    @property
+    def mmd(self) -> list[int]:
+        """mmd[u] = mask of the v != u mutually maximally distant from u: no
+        neighbour of u is farther from v than u is, and vice versa."""
+        if self._mmd is None:
+            if not self.connected:
+                raise DomainError("maximal distance requires a connected graph")
+            layers = self.layers
+            table = [0] * self.n
+            for u in range(self.n):
+                du = self.dist[u]
+                for v in range(u + 1, self.n):
+                    beyond = du[v] + 1
+                    if not (layers[u][1] & layers[v][beyond]
+                            or layers[v][1] & layers[u][beyond]):
+                        table[u] |= 1 << v
+                        table[v] |= 1 << u
+            self._mmd = table
+        return self._mmd
+
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; INF across components."""
+    """BFS from every vertex; INF across components.  Keeps each BFS frontier
+    as ``layers[s][d]``."""
     n = g.n
     adj = g.adj
     dist: list[list[float]] = []
+    layers: list[list[int]] = []
     for s in range(n):
         row: list[float] = [INF] * n
         seen = 1 << s
         frontier = 1 << s
+        rings = [frontier]
         d = 0
         while frontier:
             for v in iter_bits(frontier):
@@ -165,9 +193,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                 nxt |= adj[v]
             frontier = nxt & ~seen
             seen |= frontier
+            rings.append(frontier)
             d += 1
         dist.append(row)
-    return DistanceMatrix(dist)
+        layers.append(rings)
+    return DistanceMatrix(dist, layers)
 
 
 # How many recent graphs keep their distance matrix.  On the benchmark
@@ -181,7 +211,7 @@ def distances(g: Graph) -> DistanceMatrix:
     """``all_pairs_distances(g)``, memoized on the frozen graph.
 
     Every caller of one graph shares the returned matrix (and its lazily built
-    blocker tables), so callers must not modify it.
+    blocker and MMD tables), so callers must not modify it.
     """
     return all_pairs_distances(g)
 

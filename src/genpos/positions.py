@@ -249,8 +249,7 @@ def gp_outer(g: Graph, engine: str = "characterization") -> tuple[int, frozenset
     dm = require_connected(g, "gp_outer")
     if engine == "oracle":
         return max_outer_oracle(dm)
-    sr = resolving.strong_resolving_graph(g)
-    return cliques.max_clique(sr.full)
+    return cliques.max_clique(resolving.strong_resolving_graph(g))
 
 
 def gp_dual(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
@@ -326,7 +325,6 @@ def compute_bundle(
     dm = require_connected(g, "invariants")
     n, n1, _ = basic_counts(g)
     diam = dm.diameter
-    rep = resolving.boundary(g)
     omega, omega_w = cliques.max_clique(g)
     alpha, alpha_w = cliques.independence_number(g)
     gp, gp_w = max_gp_oracle(dm)
@@ -339,7 +337,7 @@ def compute_bundle(
         "n1": n1,
         "diam": diam,
         "s": len(simplicial_vertices(g)),
-        "b": rep.b,
+        "b": len(resolving.boundary(g)),
         "omega": omega,
         "alpha": alpha,
         "gp": gp,

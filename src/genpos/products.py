@@ -1,4 +1,4 @@
-"""Strong and lexicographic products with layer/projection bookkeeping.
+"""Strong and lexicographic products with layer bookkeeping.
 
 The vertex codec is fixed once and everywhere: (g, h) <-> g * n_H + h.
 """
@@ -18,7 +18,6 @@ class ProductGraph:
     graph: Graph
     n_g: int
     n_h: int
-    kind: str  # "strong" | "lex"
 
     def encode(self, g: int, h: int) -> int:
         return g * self.n_h + h
@@ -48,7 +47,7 @@ def strong_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Product
                 # move in G, same or adjacent H-coordinate
                 row |= (h.adj[b] | 1 << b) << (a2 * nh)
             rows[x] = row
-    return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh, "strong")
+    return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh)
 
 
 def lexicographic_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> ProductGraph:
@@ -63,16 +62,7 @@ def lexicographic_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> 
             cross |= full_h << (a2 * nh)
         for b in range(nh):
             rows[a * nh + b] = cross | (h.adj[b] << (a * nh))
-    return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh, "lex")
-
-
-def project(p: ProductGraph, vertices, factor: str) -> frozenset[int]:
-    """Image of a product vertex set on one factor; factor is 'G' or 'H'."""
-    if factor == "G":
-        return frozenset(p.decode(x)[0] for x in vertices)
-    if factor == "H":
-        return frozenset(p.decode(x)[1] for x in vertices)
-    raise ValueError(f"factor must be 'G' or 'H', got {factor!r}")
+    return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh)
 
 
 def layer(p: ProductGraph, anchor: int, factor: str) -> frozenset[int]:
@@ -87,12 +77,3 @@ def layer(p: ProductGraph, anchor: int, factor: str) -> frozenset[int]:
         return frozenset(p.encode(anchor, b) for b in range(p.n_h))
     raise ValueError(f"factor must be 'G' or 'H', got {factor!r}")
 
-
-def strong_power(g: Graph, k: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Strong product of k copies of g."""
-    if k < 1:
-        raise ValueError("strong power needs k >= 1")
-    acc = g
-    for _ in range(k - 1):
-        acc = strong_product(acc, g, cap=cap).graph
-    return acc

@@ -1,75 +1,35 @@
 """Boundary / mutually-maximally-distant machinery and auxiliary graphs.
 
-Covers the strong resolving graph (full and isolated-vertex-pruned forms),
-the distance->=2-or-true-twins graph used for lexicographic products, the
-twin-free boundary with its SRS graph, and the five-case test for mutual
-maximal distance in a strong product.
+The mutually-maximally-distant (MMD) relation is the ``mmd`` table of the
+memoized distance matrix.  The strong resolving graph is that table as a
+plain ``Graph`` on all of V(G), and the boundary is the set of vertices with
+an MMD partner.  Also here: the distance->=2-or-true-twins graph used for
+lexicographic products, the twin-free boundary with its SRS graph, and the
+five-case test for mutual maximal distance in a strong product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .graphs import (
-    DistanceMatrix,
     Graph,
     distances,
-    from_mask,
     induced_subgraph,
     is_complete,
-    iter_bits,
     require_connected,
-    to_mask,
     true_twin_pairs,
 )
 
 
-def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
-    """True when no neighbor of u is farther from v than u is (asymmetric)."""
-    if not dm.connected:
-        raise DomainError("maximal distance requires a connected graph")
-    duv = dm.dist[u][v]
-    return all(dm.dist[v][w] <= duv for w in iter_bits(g.adj[u]))
+def boundary(g: Graph) -> frozenset[int]:
+    """The vertices that have an MMD partner."""
+    mmd = require_connected(g, "boundary").mmd
+    return frozenset(v for v in range(g.n) if mmd[v])
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    mmd_pairs: frozenset[tuple[int, int]]  # unordered, stored as u < v
-    boundary: frozenset[int]
-
-    @property
-    def b(self) -> int:
-        return len(self.boundary)
-
-
-def boundary(g: Graph) -> BoundaryReport:
-    dm = require_connected(g, "boundary")
-    pairs = []
-    members = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if is_maximally_distant(g, dm, u, v) and is_maximally_distant(g, dm, v, u):
-                pairs.append((u, v))
-                members |= 1 << u | 1 << v
-    return BoundaryReport(frozenset(pairs), from_mask(members))
-
-
-@dataclass(frozen=True)
-class SRGraph:
-    full: Graph  # on all of V(G); edges are the MMD pairs
-    pruned: Graph | None  # isolated vertices dropped; None when all were isolated
-    pruned_labels: tuple[int, ...]  # pruned index -> original vertex
-
-
-def strong_resolving_graph(g: Graph) -> SRGraph:
-    report = boundary(g)
-    full = Graph.from_edges(g.n, sorted(report.mmd_pairs))
-    if report.boundary:
-        pruned, labels = induced_subgraph(full, report.boundary)
-        return SRGraph(full, pruned, labels)
-    # Only K1 has an empty boundary; the pruned graph would be empty.
-    return SRGraph(full, None, ())
+def strong_resolving_graph(g: Graph) -> Graph:
+    """Edges are the MMD pairs of g."""
+    return Graph(g.n, tuple(require_connected(g, "boundary").mmd))
 
 
 def g2bar(g: Graph) -> Graph:
@@ -100,17 +60,16 @@ def tf_boundary_and_srs(g: Graph) -> tuple[frozenset[int], Graph, tuple[int, ...
     """
     if is_complete(g):
         raise DomainError("the TF-boundary is defined for non-complete graphs only")
-    require_connected(g, "tf_boundary")
-    report = boundary(g)
-    edges = report.mmd_pairs - true_twin_pairs(g)
-    if not edges:
+    rows = list(require_connected(g, "tf_boundary").mmd)
+    for u, v in true_twin_pairs(g):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    srs, labels = prune_isolated(Graph(g.n, tuple(rows)))
+    if srs is None:
         # Cannot happen for a connected non-complete graph: a diametral pair
         # is MMD and non-adjacent, hence not true twins.
         raise DomainError("graph has no non-twin MMD pair")
-    members = to_mask(u for e in edges for u in e)
-    base = Graph.from_edges(g.n, sorted(edges))
-    srs, labels = induced_subgraph(base, from_mask(members))
-    return from_mask(members), srs, labels
+    return frozenset(labels), srs, labels
 
 
 _CASES = ("i", "ii", "iii", "iv", "v")
@@ -131,16 +90,8 @@ def check_mmd_product_cases(
         raise DomainError("mmd product cases requires a connected graph")
     g1, g2 = pair_g
     h1, h2 = pair_h
-    mmd_g = (
-        g1 != g2
-        and is_maximally_distant(g, dm_g, g1, g2)
-        and is_maximally_distant(g, dm_g, g2, g1)
-    )
-    mmd_h = (
-        h1 != h2
-        and is_maximally_distant(h, dm_h, h1, h2)
-        and is_maximally_distant(h, dm_h, h2, h1)
-    )
+    mmd_g = dm_g.mmd[g1] >> g2 & 1
+    mmd_h = dm_h.mmd[h1] >> h2 & 1
     dg = dm_g.dist[g1][g2]
     dh = dm_h.dist[h1][h2]
     conditions = (

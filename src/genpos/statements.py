@@ -18,6 +18,7 @@ engines up to the orders in ``positions.CROSS_CHECK_CAPS``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Callable
@@ -200,7 +201,7 @@ def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
     """gp_o(G) gp_o(H), gp_o of their strong product, and b(G) b(H)."""
     lower = positions.invariant("gp_o", g)[0] * positions.invariant("gp_o", h)[0]
     mid = positions.invariant("gp_o", prod)[0]
-    upper = resolving.boundary(g).b * resolving.boundary(h).b
+    upper = len(resolving.boundary(g)) * len(resolving.boundary(h))
     return lower, mid, upper
 
 
@@ -265,8 +266,7 @@ def check_s1(verdict, g: Graph) -> Verdict:
 @statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
 def check_s2(verdict, g: Graph) -> Verdict:
     lhs, _ = positions.max_outer_oracle(distances(g))
-    sr = resolving.strong_resolving_graph(g)
-    rhs, _ = cliques.max_clique(sr.full)
+    rhs, _ = cliques.max_clique(resolving.strong_resolving_graph(g))
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
@@ -288,10 +288,10 @@ def check_s3(verdict, g: Graph) -> Verdict:
 
 @statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o")
 def check_s4(verdict, g: Graph) -> Verdict:
-    sr = resolving.strong_resolving_graph(g)
-    _need(sr.pruned is not None, "empty boundary (K1): pruned SR graph is empty")
+    pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+    _need(pruned is not None, "empty boundary (K1): pruned SR graph is empty")
     lhs = positions.invariant("gp_o", g)[0]
-    rhs, _ = cliques.max_clique(sr.pruned)
+    rhs, _ = cliques.max_clique(pruned)
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
@@ -379,18 +379,18 @@ def check_s21(verdict, g: Graph) -> Verdict:
     checks: dict[str, tuple] = {}
     notes = []
     if _no_universal(g):
-        sr = resolving.strong_resolving_graph(_cone(g))
-        assert sr.pruned is not None
-        checks["i"] = (omega_g2, cliques.max_clique(sr.pruned)[0])
+        pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(_cone(g)))
+        assert pruned is not None
+        checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
         pruned_g2, _ = resolving.prune_isolated(g2)
-        sr = resolving.strong_resolving_graph(g)
-        if pruned_g2 is None or sr.pruned is None:
+        pruned_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+        if pruned_g2 is None or pruned_sr is None:
             notes.append("ii: pruned graph empty")
         else:
             checks["ii"] = (
                 cliques.max_clique(pruned_g2)[0],
-                cliques.max_clique(sr.pruned)[0],
+                cliques.max_clique(pruned_sr)[0],
             )
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
@@ -458,14 +458,15 @@ def check_s10(verdict, g: Graph, h: Graph) -> Verdict:
 def check_s11(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S11)
     prod = pg.graph
-    direct = resolving.boundary(prod).mmd_pairs
+    sr = resolving.strong_resolving_graph(prod)
     for x in range(prod.n):
         for y in range(x + 1, prod.n):
             a, b = pg.decode(x)
             c, d = pg.decode(y)
             by_cases, _ = resolving.check_mmd_product_cases(g, h, (a, c), (b, d))
-            if by_cases != ((x, y) in direct):
-                return verdict("fails", lhs=(x, y) in direct, rhs=by_cases,
+            direct = sr.has_edge(x, y)
+            if by_cases != direct:
+                return verdict("fails", lhs=direct, rhs=by_cases,
                                counterexample=[[a, b], [c, d]])
     pairs = prod.n * (prod.n - 1) // 2
     return verdict("holds", lhs=pairs, rhs=pairs, note="product vertex pairs checked")
@@ -551,14 +552,13 @@ def check_s20(verdict, g: Graph, h: Graph) -> Verdict:
 def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
     _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_S22)
-    lhs_sr = resolving.strong_resolving_graph(pg.graph)
-    assert lhs_sr.pruned is not None
-    lhs_graph = lhs_sr.pruned
+    lhs_graph, _ = resolving.prune_isolated(resolving.strong_resolving_graph(pg.graph))
+    assert lhs_graph is not None
     omega_lhs = cliques.max_clique(lhs_graph)[0]
 
-    g_sr = resolving.strong_resolving_graph(g)
-    assert g_sr.pruned is not None
-    b_g = resolving.boundary(g).b
+    g_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+    assert g_sr is not None
+    b_g = g_sr.n
 
     def rhs_for_item(item: str) -> Graph | None:
         if item == "i":
@@ -566,11 +566,11 @@ def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
             h2p, _ = resolving.prune_isolated(h2)
             if h2p is None:
                 return None
-            parts = [lexicographic_product(g_sr.pruned, h2).graph]
+            parts = [lexicographic_product(g_sr, h2).graph]
             parts += [h2p] * (g.n - b_g)
             return disjoint_union(parts)
         if item == "ii":
-            parts = [lexicographic_product(g_sr.pruned, h).graph]
+            parts = [lexicographic_product(g_sr, h).graph]
             parts += [h] * (g.n - b_g)
             return disjoint_union(parts)
         if item == "iii":
@@ -775,19 +775,15 @@ def parse_corpus(spec: str) -> Corpus:
         )
     if spec.startswith("pairs:"):
         body = spec[len("pairs:"):]
-        for i, ch in enumerate(body):
-            if ch != "x":
-                continue
-            try:
-                left = parse_corpus(body[:i])
-                right = parse_corpus(body[i + 1:])
-            except (SpecError, CapacityError, OSError):
-                continue
-            return Corpus(
-                pairs=tuple(itertools.product(left.derived_graphs(),
-                                              right.derived_graphs()))
-            )
-        raise SpecError(f"could not split pair corpus spec {spec!r}")
+        split = re.search(r"x(?=exhaustive:|file:|family:)", body)
+        if split is None:
+            raise SpecError(f"could not split pair corpus spec {spec!r}")
+        left = parse_corpus(body[:split.start()])
+        right = parse_corpus(body[split.end():])
+        return Corpus(
+            pairs=tuple(itertools.product(left.derived_graphs(),
+                                          right.derived_graphs()))
+        )
     raise SpecError(f"unknown corpus spec {spec!r}")
 
 
@@ -819,7 +815,12 @@ def run_suite(
     """Run statements over a corpus; verdicts sorted by (statement, instance)."""
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")
-    ids = statement_ids or sorted(STATEMENTS, key=lambda s: int(s[1:]))
+    if statement_ids is None:
+        ids = sorted(STATEMENTS, key=lambda s: int(s[1:]))
+    elif not statement_ids:
+        raise SpecError("no statement ids given")
+    else:
+        ids = list(dict.fromkeys(statement_ids))
     for sid in ids:
         if sid not in STATEMENTS:
             raise SpecError(f"unknown statement id {sid!r}")

@@ -62,11 +62,12 @@ def test_criterion_01_characterization_equals_definition():
             bad += 1
             continue
         sr = resolving.strong_resolving_graph(g)
+        pruned = resolving.prune_isolated(sr)[0]
         outer = positions.max_outer_oracle(dm)[0]
-        if outer != cliques.max_clique(sr.full)[0]:
+        if outer != cliques.max_clique(sr)[0]:
             bad += 1
             continue
-        if sr.pruned is not None and outer != cliques.max_clique(sr.pruned)[0]:
+        if pruned is not None and outer != cliques.max_clique(pruned)[0]:
             bad += 1
             continue
         full = (1 << g.n) - 1

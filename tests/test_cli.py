@@ -15,6 +15,16 @@ from genpos.cli import main
 # moves it must say why the verdict stream changed.
 EXHAUSTIVE_4_SHA256 = "633600286e2b35ca918063d8b8619a089119bf57a5fa6108849253eb8da9a32b"
 
+# SHA-256 of `verify --statements all --corpus WIDE_PAIRS`: factors of order
+# up to 7 reach the S22 and S26 strong resolving and SRS graph paths that
+# exhaustive:4 does not.
+WIDE_PAIRS = (
+    "pairs:family:path:2,path:5,cycle:5,complete:3,star:3,cycle_plus:5,"
+    "subdivided_star:3,1,complete:1"
+    "xfamily:path:3,cycle:4,complete:4,path:6,cycle:6,star:4,complete:1"
+)
+WIDE_PAIRS_SHA256 = "de0f536aef20e6bd7bae6cf7e87ea21fc7ce06d529d0811addc7a17351118163"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -110,6 +120,12 @@ def test_verify_exhaustive_4_stream_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_4_SHA256
 
 
+def test_verify_wide_pair_stream_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--statements", "all", "--corpus", WIDE_PAIRS)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PAIRS_SHA256
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     def crash(g, h):
         raise RuntimeError("injected crash")
@@ -125,6 +141,21 @@ def test_internal_error_exits_2(capsys, monkeypatch):
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "--statements", "bogus")
     assert code == 2 and err
+
+
+def test_verify_empty_statement_list_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--statements", "", "--corpus", "exhaustive:3")
+    assert code == 2
+    assert "no statement ids given" in err
+    assert out == ""
+
+
+def test_verify_repeated_statement_runs_once(capsys):
+    code, out, _ = run(capsys, "verify", "--statements", "S1,S1", "--corpus", "exhaustive:3")
+    assert code == 0
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert len(lines) == 4 + 1
+    assert lines[-1]["total"] == 4
 
 
 def test_verify_deterministic_output(capsys):

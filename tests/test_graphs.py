@@ -116,6 +116,26 @@ def test_blockers_against_definition(n, bits):
             assert dm.blockers[u][v] == expected
 
 
+@given(n=st.integers(1, 7), bits=st.integers(0))
+@settings(max_examples=80, deadline=None)
+def test_mmd_against_definition(n, bits):
+    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+    # graft a spanning path so every sample is connected
+    g = Graph.from_edges(n, g.edges() + [(i, i + 1) for i in range(n - 1)])
+    dm = all_pairs_distances(g)
+
+    def maximally_distant(u, v):
+        """No neighbour of u is farther from v than u is."""
+        return all(dm.dist[v][w] <= dm.dist[u][v] for w in range(n) if g.adj[u] >> w & 1)
+
+    for u in range(n):
+        expected = to_mask(
+            v for v in range(n)
+            if v != u and maximally_distant(u, v) and maximally_distant(v, u)
+        )
+        assert dm.mmd[u] == expected
+
+
 def test_connectivity_and_diameter():
     assert is_connected(path(5))
     assert not is_connected(disjoint_union([path(2), path(2)]))

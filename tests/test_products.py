@@ -12,8 +12,6 @@ from genpos.graphs import (
 from genpos.products import (
     layer,
     lexicographic_product,
-    project,
-    strong_power,
     strong_product,
 )
 from genpos.statements import brute_force_isomorphic
@@ -128,20 +126,8 @@ def test_codec_round_trip_and_layers():
     assert gl == frozenset(p.encode(a, 2) for a in range(3))
     hl = layer(p, 1, "H")
     assert hl == frozenset(p.encode(1, b) for b in range(4))
-    assert project(p, gl, "G") == frozenset(range(3))
-    assert project(p, gl, "H") == frozenset({2})
     with pytest.raises(ValueError):
         layer(p, 9, "G")
-    with pytest.raises(ValueError):
-        project(p, gl, "X")
-
-
-def test_strong_power():
-    sq = strong_power(cycle(5), 2)
-    assert sq.n == 25
-    assert strong_power(path(3), 1) == path(3)
-    with pytest.raises(ValueError):
-        strong_power(path(2), 0)
 
 
 def test_vertex_cap():

@@ -16,7 +16,6 @@ from genpos.resolving import (
     boundary,
     check_mmd_product_cases,
     g2bar,
-    is_maximally_distant,
     prune_isolated,
     strong_resolving_graph,
     tf_boundary_and_srs,
@@ -46,17 +45,18 @@ def random_connected(n, bits):
     return Graph.from_edges(n, edges + [(i, i + 1) for i in range(n - 1)])
 
 
-def test_maximal_distance_is_asymmetric_in_general():
-    p3 = path(3)
-    dm = all_pairs_distances(p3)
-    assert is_maximally_distant(p3, dm, 0, 1)  # leaf from its neighbor
-    assert not is_maximally_distant(p3, dm, 1, 0)
+def test_mmd_table_known_values():
+    # A leaf is maximally distant from its neighbour but not vice versa, so on
+    # P3 only the two leaves are an MMD pair.
+    assert all_pairs_distances(path(3)).mmd == [0b100, 0, 0b001]
+    # C4: each vertex and its antipode.
+    assert all_pairs_distances(cycle(4)).mmd == [0b0100, 0b1000, 0b0001, 0b0010]
 
 
 def test_maximal_distance_needs_connected_graph():
     g = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(DomainError):
-        is_maximally_distant(g, all_pairs_distances(g), 0, 2)
+    with pytest.raises(DomainError, match="maximal distance requires a connected graph"):
+        all_pairs_distances(g).mmd
 
 
 def test_five_cases_need_connected_factors():
@@ -67,32 +67,33 @@ def test_five_cases_need_connected_factors():
 
 
 def test_boundary_known_values():
-    assert boundary(cycle(5)).b == 5
-    assert boundary(path(4)).boundary == frozenset({0, 3})
-    assert boundary(complete(4)).b == 4
-    assert boundary(Graph(1, (0,))).b == 0
+    assert len(boundary(cycle(5))) == 5
+    assert boundary(path(4)) == frozenset({0, 3})
+    assert len(boundary(complete(4))) == 4
+    assert len(boundary(Graph(1, (0,)))) == 0
 
 
 @given(n=st.integers(2, 7), bits=st.integers(0))
 @settings(max_examples=60, deadline=None)
 def test_true_twins_are_mmd(n, bits):
     g = random_connected(n, bits)
-    rep = boundary(g)
+    sr = strong_resolving_graph(g)
     for u, v in true_twin_pairs(g):
-        assert (min(u, v), max(u, v)) in rep.mmd_pairs
+        assert sr.has_edge(u, v)
 
 
 def test_sr_graph_of_c4_is_perfect_matching():
     sr = strong_resolving_graph(cycle(4))
-    assert sr.pruned is not None
-    assert sr.full.num_edges() == 2
-    assert sr.pruned.num_edges() == 2
-    assert all(sr.pruned.degree(v) == 1 for v in range(sr.pruned.n))
+    pruned, _ = prune_isolated(sr)
+    assert pruned is not None
+    assert sr.num_edges() == 2
+    assert pruned.num_edges() == 2
+    assert all(pruned.degree(v) == 1 for v in range(pruned.n))
 
 
 def test_sr_graph_of_k1_has_no_pruned_form():
     sr = strong_resolving_graph(Graph(1, (0,)))
-    assert sr.pruned is None and sr.pruned_labels == ()
+    assert prune_isolated(sr) == (None, ())
 
 
 @given(n=st.integers(2, 7), bits=st.integers(0))
@@ -100,8 +101,9 @@ def test_sr_graph_of_k1_has_no_pruned_form():
 def test_pruning_preserves_clique_number(n, bits):
     g = random_connected(n, bits)
     sr = strong_resolving_graph(g)
-    assert sr.pruned is not None
-    assert max_clique(sr.full)[0] == max_clique(sr.pruned)[0]
+    pruned, _ = prune_isolated(sr)
+    assert pruned is not None
+    assert max_clique(sr)[0] == max_clique(pruned)[0]
 
 
 def test_g2bar_examples():
@@ -140,11 +142,11 @@ def test_five_cases_match_direct_product_mmd(ng, nh, bg, bh):
     h = random_connected(nh, bh)
     p = strong_product(g, h)
     dm = all_pairs_distances(p.graph)
-    direct = boundary(p.graph).mmd_pairs
+    direct = strong_resolving_graph(p.graph)
     for x in range(p.graph.n):
         for y in range(x + 1, p.graph.n):
             a, b = p.decode(x)
             c, d = p.decode(y)
             holds, tag = check_mmd_product_cases(g, h, (a, c), (b, d))
-            assert holds == ((x, y) in direct)
+            assert holds == direct.has_edge(x, y)
             assert (tag is not None) == holds

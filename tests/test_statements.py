@@ -75,6 +75,22 @@ def test_corpus_errors():
             parse_corpus(bad)
 
 
+@pytest.mark.parametrize("spec, error, message", [
+    ("pairs:exhaustive:7xexhaustive:3", CapacityError,
+     "exhaustive enumeration supports 1 <= n <= 6"),
+    ("pairs:file:/nonexistent.g6xexhaustive:2", FileNotFoundError,
+     "No such file or directory: '/nonexistent.g6'"),
+    ("pairs:family:path:2,bogus:3xexhaustive:2", SpecError,
+     "unknown family tag 'bogus'"),
+    ("pairs:exhaustive:2xfamily:cycle:2", SpecError,
+     "parameters out of range for family spec cycle:2"),
+])
+def test_pair_corpus_reports_the_side_error(spec, error, message):
+    with pytest.raises(error) as info:
+        parse_corpus(spec)
+    assert message in str(info.value)
+
+
 def test_rotation_pairing():
     gs = tuple(enumerate_connected(3))
     c = Corpus(graphs=gs)
