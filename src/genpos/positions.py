@@ -12,11 +12,16 @@ engines (simplicial count, clique number of the strong resolving graph,
 convex-complement search).  They must agree: ``invariant`` recomputes gp_t,
 gp_o and gp_d with the other engine up to the orders in ``CROSS_CHECK_CAPS``
 and raises on a disagreement.
+
+One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
+the convex-complement search for gp_d, pruned by the geodesic hull of the
+excluded vertices.  The dual oracle tracks pairwise forbidden masks instead,
+so the two gp_d engines stay independent.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import cliques, resolving
 from .errors import DomainError, GenposError
@@ -106,43 +111,72 @@ def _is_dual_mask(dm: DistanceMatrix, xmask: int) -> bool:
 # definition-level maximum solvers (oracle engine)
 
 
-def _max_gp_search(
-    dm: DistanceMatrix, accept: Callable[[int], bool] | None
-) -> tuple[int, frozenset[int]]:
-    """Largest general position set that ``accept`` takes (every set when
-    ``accept`` is None), by blocked-triple branch-and-bound."""
+def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]:
+    """Largest general position set (with ``dual``, largest whose complement
+    is convex), by blocked-triple branch-and-bound.
+
+    In dual mode ``hull`` is the geodesic hull of the vertices excluded for
+    the whole subtree: branching on v excludes every vertex of [start, v).
+    A hull vertex is never offered, the bound counts only vertices outside
+    ``blocked`` and the hull, and once the hull meets X the node returns,
+    since later siblings only enlarge the hull.
+    """
     n = dm.n
+    full = (1 << n) - 1
     blockers = dm.blockers
     best = -1
     best_mask = 0
 
-    def extend(xmask: int, size: int, start: int, blocked: int) -> None:
+    def extend(xmask: int, size: int, start: int, blocked: int, hull: int) -> None:
         nonlocal best, best_mask
-        if size > best and (accept is None or accept(xmask)):
+        if size > best and (not dual or _pairs_avoid(blockers, ~xmask & full, xmask)):
             best, best_mask = size, xmask
         for v in range(start, n):
-            if size + (n - v) <= best:
+            room = (full >> v << v & ~(blocked | hull)).bit_count() if dual else n - v
+            if size + room <= best:
                 return
-            if blocked >> v & 1:
-                continue
-            ok = True
-            nb = blocked
-            for u in iter_bits(xmask):
-                b = blockers[u][v]
-                if b & xmask:
-                    ok = False
-                    break
-                nb |= b
-            if ok:
-                extend(xmask | 1 << v, size + 1, v + 1, nb)
+            if not (blocked | hull) >> v & 1:
+                ok = True
+                nb = blocked
+                for u in iter_bits(xmask):
+                    b = blockers[u][v]
+                    if b & xmask:
+                        ok = False
+                        break
+                    nb |= b
+                if ok:
+                    extend(xmask | 1 << v, size + 1, v + 1, nb, hull)
+            if dual:
+                hull = _hull_with(blockers, hull, v)
+                if hull & xmask:
+                    return
 
-    extend(0, 0, 0, 0)
+    extend(0, 0, 0, 0, 0)
     return best, from_mask(best_mask)
+
+
+def _hull_with(blockers: list[list[int]], hull: int, w: int) -> int:
+    """Geodesic hull of the convex set ``hull`` together with vertex ``w``."""
+    if hull >> w & 1:
+        return hull
+    todo = 1 << w
+    hull |= todo
+    while todo:
+        x = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        bx = blockers[x]
+        grown = 0
+        for y in iter_bits(hull):
+            grown |= bx[y]
+        grown &= ~hull
+        hull |= grown
+        todo |= grown
+    return hull
 
 
 def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Largest general position set."""
-    return _max_gp_search(dm, None)
+    return _max_gp_search(dm, False)
 
 
 def max_outer_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
@@ -227,10 +261,17 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 
 
 def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
-    """Maximize |X| over general position sets whose complement is convex."""
-    full = (1 << dm.n) - 1
-    blockers = dm.blockers
-    return _max_gp_search(dm, lambda xmask: _pairs_avoid(blockers, ~xmask & full, xmask))
+    """Maximize |X| over general position sets whose complement is convex
+    (Pelayo 2013), by the gp search in dual mode.
+
+    Soundness of the hull prune: every vertex excluded below a branch lies
+    in the complement of any X accepted there, and that complement is convex,
+    so it contains their geodesic hull; a hull vertex can never join X, and
+    once the hull meets X no X of the subtree (or of a later sibling, whose
+    hull is larger) is accepted.  Each candidate X is still tested on its
+    whole complement.
+    """
+    return _max_gp_search(dm, True)
 
 
 def gp_number(g: Graph) -> tuple[int, frozenset[int]]:

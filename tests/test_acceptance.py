@@ -104,7 +104,6 @@ def test_criterion_03_strong_outer_bounds():
 def test_criterion_04_c5_strong_square_outer_is_5():
     c5 = emit(families.generate(families.parse_family("cycle:5")))
     prod = emit(strong_product(c5, c5).graph)
-    dm = all_pairs_distances(prod)
     char = positions.gp_outer(prod)[0]
     oracle = positions.gp_outer(prod, engine="oracle")[0]
     report(4, char == oracle == 5,

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
-from genpos import statements
+from genpos import families, statements
 from genpos.cli import main
+from genpos.graph6 import parse_graph6
+from genpos.products import strong_product
 
 # SHA-256 of `verify --statements all --corpus exhaustive:4`; a change that
 # moves it must say why the verdict stream changed.
@@ -67,6 +69,14 @@ def test_product_strong_k4(capsys):
     lines = out.splitlines()
     assert lines[0] == "C~"
     assert lines[1].startswith("# codec:")
+
+
+def test_product_above_short_graph6_form(capsys):
+    code, out, _ = run(capsys, "product", "strong", "family:cycle:8", "family:cycle:8")
+    assert code == 0
+    line = out.splitlines()[0]
+    cycle = families.generate(families.parse_family("cycle:8"))
+    assert parse_graph6(line) == strong_product(cycle, cycle).graph
 
 
 def test_product_lex_with_invariants(capsys):

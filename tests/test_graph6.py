@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genpos import graph6
 from genpos.errors import Graph6Error
 from genpos.graph6 import parse_graph6, write_graph6
 from genpos.graphs import Graph
@@ -33,8 +34,42 @@ def test_round_trip(n, bits):
 
 
 def test_rejects_long_form():
-    with pytest.raises(Graph6Error):
+    # n = 63 needs 326 payload symbols
+    with pytest.raises(Graph6Error, match="truncated payload"):
         parse_graph6("~??~" + "?" * 100)
+    # a long-form header must encode 63 <= n <= 258,047
+    for header in ("~???", "~??}", "~~??", "~~~~"):
+        with pytest.raises(Graph6Error, match="outside 63..258047") as exc:
+            parse_graph6(header + "?" * 10)
+        assert exc.value.offset == 1
+    with pytest.raises(Graph6Error, match="truncated long-form header"):
+        parse_graph6("~??")
+
+
+def test_long_form_header():
+    # a whole line for n = 12345 would carry 12.7 M payload symbols
+    header = "~" + chr(66) + chr(63) + chr(120)
+    assert graph6._header(12345) == header
+    assert graph6._parse_order(header) == (12345, 4)
+    assert graph6._header(62) == chr(125)
+    assert graph6._header(63) == "~??~"
+
+
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_long_form_round_trip(n):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if i % 3 == 0 or i % 7 == 1])
+    line = write_graph6(g)
+    assert line[0] == "~" and len(line) == 4 + (len(pairs) + 5) // 6
+    assert parse_graph6(line) == g
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64, 100])
+def test_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    G = nx.gnp_random_graph(n, 0.3, seed=n)
+    g = Graph.from_edges(n, list(G.edges()))
+    assert write_graph6(g) == nx.to_graph6_bytes(G, header=False).decode().rstrip("\n")
 
 
 def test_rejects_empty_and_truncated():
@@ -64,8 +99,12 @@ def test_rejects_nonzero_padding():
 
 
 def test_order_cap():
-    from genpos.errors import CapacityError
+    from types import SimpleNamespace
 
-    big = Graph(63, (0,) * 63)
+    from genpos.errors import CapacityError
+    from genpos.graph6 import MAX_ORDER
+
+    # only the order is read before the cap check; a real graph of this
+    # order takes seconds to validate
     with pytest.raises(CapacityError):
-        write_graph6(big)
+        write_graph6(SimpleNamespace(n=MAX_ORDER + 1))

@@ -31,7 +31,7 @@ from genpos.positions import (
     restrict_to_isometric_subgraph,
     structure_bundle,
 )
-from genpos.products import strong_product
+from genpos.products import lexicographic_product, strong_product
 from genpos.statements import check_statement
 
 
@@ -128,17 +128,19 @@ def test_oracles_match_subset_enumeration(n, bits):
 def test_engines_agree(n, bits):
     g = random_connected(n, bits)
     dm = all_pairs_distances(g)
-    for solver in (gp_total, gp_outer, gp_dual):
+    table = {gp_total: is_total_gp, gp_outer: is_outer_gp, gp_dual: is_dual_gp}
+    for solver, predicate in table.items():
         a, wa = solver(g, engine="characterization")
         b, wb = solver(g, engine="oracle")
         assert a == b
+        for witness in (wa, wb):
+            assert len(witness) == a and predicate(dm, witness)
 
 
 @given(n=st.integers(2, 7), bits=st.integers(0))
 @settings(max_examples=50, deadline=None)
 def test_invariant_chain(n, bits):
     g = random_connected(n, bits)
-    dm = all_pairs_distances(g)
     gp = gp_number(g)[0]
     t = gp_total(g)[0]
     o = gp_outer(g)[0]
@@ -159,6 +161,21 @@ def test_gp_and_outer_are_hereditary(n, bits):
     _, w = max_outer_oracle(dm)
     w = sorted(w)
     assert all(is_outer_gp(dm, w[:k]) for k in range(len(w) + 1))
+
+
+@pytest.mark.parametrize("build, a, b, expected", [
+    (lexicographic_product, "star:4", "path:5", 0),
+    (strong_product, "star:4", "complete:5", 20),
+    (lexicographic_product, "path:5", "complete:5", 10),
+])
+def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
+    g = build(families.generate(families.parse_family(a)),
+              families.generate(families.parse_family(b))).graph
+    assert g.n > CROSS_CHECK_CAPS["gp_d"]
+    dm = all_pairs_distances(g)
+    size, witness = positions._max_dual_characterization(dm)
+    assert size == max_dual_oracle(dm)[0] == expected
+    assert len(witness) == size and is_dual_gp(dm, witness)
 
 
 # --------------------------------------------------------------------------

@@ -141,7 +141,6 @@ def test_five_cases_match_direct_product_mmd(ng, nh, bg, bh):
     g = random_connected(ng, bg)
     h = random_connected(nh, bh)
     p = strong_product(g, h)
-    dm = all_pairs_distances(p.graph)
     direct = strong_resolving_graph(p.graph)
     for x in range(p.graph.n):
         for y in range(x + 1, p.graph.n):
