@@ -1,43 +1,21 @@
 """Exact maximum clique / independence solvers on bitset graphs.
 
-Branch and bound in degeneracy order with a greedy-coloring upper bound;
-deterministic (ties broken by lowest label), so witnesses are reproducible.
+Branch and bound with a greedy-coloring upper bound; deterministic (ties
+broken by lowest label), so witnesses are reproducible.
 Works on disconnected inputs, which strong resolving graphs often are.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .graphs import Graph, complement, from_mask, iter_bits, require_connected
-
-
-def _degeneracy_order(g: Graph) -> list[int]:
-    remaining = g.vertices_mask()
-    order = []
-    while remaining:
-        best_v, best_d = -1, g.n + 1
-        for v in iter_bits(remaining):
-            d = (g.adj[v] & remaining).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        order.append(best_v)
-        remaining &= ~(1 << best_v)
-    return order
+from .graphs import Graph, complement, from_mask, require_connected
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact clique number with a witness clique."""
     adj = g.adj
-
-    # Greedy clique along reverse degeneracy order seeds the lower bound.
-    seed = 0
-    cand = g.vertices_mask()
-    for v in reversed(_degeneracy_order(g)):
-        if cand >> v & 1:
-            seed |= 1 << v
-            cand &= adj[v]
-    best_size = seed.bit_count()
-    best_mask = seed
+    best_size = 0
+    best_mask = 0
 
     def coloring(cand: int) -> list[tuple[int, int]]:
         # Greedy coloring of the candidate set; (vertex, color) pairs with

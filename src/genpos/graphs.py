@@ -8,6 +8,7 @@ helpers ``to_mask`` / ``from_mask`` convert between the two.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -47,10 +48,11 @@ class Graph:
             raise ValueError("graph order must be at least 1")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match order")
-        full = (1 << self.n) - 1
         for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {i} references vertices >= n")
+            if row >> self.n:
+                raise ValueError(
+                    f"adjacency row {i} references vertices outside 0..{self.n - 1}"
+                )
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
         for i in range(self.n):
@@ -326,57 +328,23 @@ def universal_vertices(g: Graph) -> frozenset[int]:
 
 
 def is_block_graph(g: Graph) -> bool:
-    """Connected and every biconnected block induces a clique."""
-    if not is_connected(g):
+    """Connected, and every biconnected block induces a clique.
+
+    Howorka (*On metric properties of certain clique graphs*, JCTB 1979): a
+    connected graph is a block graph exactly when its metric satisfies the
+    four-point condition, i.e. for every four vertices the two largest of
+    d(x,y)+d(z,w), d(x,z)+d(y,w), d(y,z)+d(x,w) are equal (the metric is
+    0-hyperbolic).  Gromov's base-point lemma: a metric that is
+    delta-hyperbolic at one base point is 2*delta-hyperbolic at every base
+    point, so it suffices to test the quadruples with w = 0.
+    """
+    dm = distances(g)
+    if not dm.connected:
         return False
-    for block in _biconnected_blocks(g):
-        if not is_clique_mask(g, to_mask(block)):
+    d = dm.dist
+    d0 = d[0]
+    for x, y, z in itertools.combinations(range(1, g.n), 3):
+        _, b, c = sorted((d[x][y] + d0[z], d[x][z] + d0[y], d[y][z] + d0[x]))
+        if b != c:
             return False
     return True
-
-
-def _biconnected_blocks(g: Graph) -> list[set[int]]:
-    """Vertex sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    blocks: list[set[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, iter(list(iter_bits(g.adj[root]))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(list(iter_bits(g.adj[w])))))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block: set[int] = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        block.update((a, b))
-                        if (a, b) == (u, v):
-                            break
-                    blocks.append(block)
-    return blocks

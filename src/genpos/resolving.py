@@ -13,9 +13,11 @@ from __future__ import annotations
 from .errors import DomainError
 from .graphs import (
     Graph,
+    complement,
     distances,
     induced_subgraph,
     is_complete,
+    remove_true_twin_edges,
     require_connected,
     true_twin_pairs,
 )
@@ -33,15 +35,10 @@ def strong_resolving_graph(g: Graph) -> Graph:
 
 
 def g2bar(g: Graph) -> Graph:
-    """Edges join pairs at distance >= 2 and true-twin pairs."""
-    dm = require_connected(g, "g2bar")
-    twins = true_twin_pairs(g)
-    edges = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if dm.dist[u][v] >= 2 or (u, v) in twins:
-                edges.append((u, v))
-    return Graph.from_edges(g.n, edges)
+    """Edges join pairs at distance >= 2 and true-twin pairs: the complement
+    of g without its true-twin edges."""
+    require_connected(g, "g2bar")
+    return complement(remove_true_twin_edges(g))
 
 
 def prune_isolated(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:

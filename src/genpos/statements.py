@@ -73,7 +73,6 @@ class Verdict:
     outcome: str  # "holds" | "fails" | "precondition-not-met"
     lhs: object = None
     rhs: object = None
-    witness: object = None
     counterexample: object = None
     note: str = ""
 
@@ -88,8 +87,6 @@ class Verdict:
             out["lhs"] = self.lhs
         if self.rhs is not None:
             out["rhs"] = self.rhs
-        if self.witness is not None:
-            out["witness"] = self.witness
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         if self.note:

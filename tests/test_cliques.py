@@ -49,6 +49,22 @@ def test_independence_is_clique_of_complement(n, bits):
     )
 
 
+@pytest.mark.parametrize("n,p_milli", [(10, 300), (14, 500), (18, 700), (22, 400),
+                                       (26, 600), (30, 250), (30, 500)])
+def test_clique_and_independence_match_networkx(n, p_milli):
+    nx = pytest.importorskip("networkx")
+    G = nx.gnp_random_graph(n, p_milli / 1000, seed=n * 1000 + p_milli)
+    g = Graph.from_edges(n, list(G.edges()))
+    omega, clique = max_clique(g)
+    alpha, independent = independence_number(g)
+    assert omega == nx.max_weight_clique(G, weight=None)[1]
+    assert alpha == nx.max_weight_clique(nx.complement(G), weight=None)[1]
+    assert len(clique) == omega
+    assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
+    assert len(independent) == alpha
+    assert all(not g.has_edge(u, v) for u, v in combinations(sorted(independent), 2))
+
+
 def test_max_clique_deterministic_witness():
     g = random_graph(8, 0b101101110011101011)
     assert max_clique(g) == max_clique(g)

@@ -99,12 +99,8 @@ def test_rejects_nonzero_padding():
 
 
 def test_order_cap():
-    from types import SimpleNamespace
-
     from genpos.errors import CapacityError
     from genpos.graph6 import MAX_ORDER
 
-    # only the order is read before the cap check; a real graph of this
-    # order takes seconds to validate
     with pytest.raises(CapacityError):
-        write_graph6(SimpleNamespace(n=MAX_ORDER + 1))
+        write_graph6(Graph(MAX_ORDER + 1, (0,) * (MAX_ORDER + 1)))

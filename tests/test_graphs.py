@@ -53,6 +53,10 @@ def test_construction_rejects_bad_adjacency():
         Graph(2, (0b01, 0b00))  # self loop
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
+    with pytest.raises(ValueError, match="outside 0..1"):
+        Graph(2, (0b100, 0b00))  # names vertex n
+    with pytest.raises(ValueError, match="outside 0..1"):
+        Graph(2, (-2, 0b00))  # negative row
     with pytest.raises(ValueError):
         Graph(0, ())
 
@@ -201,6 +205,39 @@ def test_block_graph_recognition():
     assert is_block_graph(bowtie)
     assert not is_block_graph(cycle(4))
     assert not is_block_graph(cycle(5))
+    assert is_block_graph(Graph(1, (0,)))
+    assert not is_block_graph(Graph.from_edges(3, [(0, 1)]))
+
+
+def nx_is_block_graph(nx, g):
+    """Connected, and each biconnected block (an induced subgraph) has all
+    k(k-1)/2 edges on its k vertices."""
+    G = nx.Graph(g.edges())
+    G.add_nodes_from(range(g.n))
+    if not nx.is_connected(G):
+        return False
+    for edges in nx.biconnected_component_edges(G):
+        k = len({v for e in edges for v in e})
+        if len(edges) != k * (k - 1) // 2:
+            return False
+    return True
+
+
+def test_block_graph_matches_networkx_exhaustive():
+    nx = pytest.importorskip("networkx")
+    from genpos.statements import enumerate_connected
+
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            assert is_block_graph(g) == nx_is_block_graph(nx, g), g.adj
+
+
+@given(n=st.integers(1, 12), bits=st.integers(0))
+@settings(max_examples=200, deadline=None)
+def test_block_graph_matches_networkx_random(n, bits):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+    assert is_block_graph(g) == nx_is_block_graph(nx, g)
 
 
 def test_basic_counts():

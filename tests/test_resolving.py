@@ -115,6 +115,20 @@ def test_g2bar_examples():
     assert g2bar(path(3)).num_edges() == 1
 
 
+@given(n=st.integers(1, 8), bits=st.integers(0))
+@settings(max_examples=100, deadline=None)
+def test_g2bar_against_definition(n, bits):
+    g = random_connected(n, bits)
+    dist = all_pairs_distances(g).dist
+    expected = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if dist[u][v] >= 2 or g.closed_neighborhood(u) == g.closed_neighborhood(v)
+    ]
+    assert g2bar(g).edges() == expected
+
+
 def test_prune_isolated():
     g = Graph.from_edges(4, [(1, 2)])
     pruned, labels = prune_isolated(g)
