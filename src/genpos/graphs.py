@@ -44,6 +44,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        # A list of rows is accepted and kept as a tuple, so the graph hashes.
+        object.__setattr__(self, "adj", tuple(self.adj))
         if self.n < 1:
             raise ValueError("graph order must be at least 1")
         if len(self.adj) != self.n:

@@ -767,6 +767,8 @@ def parse_corpus(spec: str) -> Corpus:
                 current = f"{current},{token}" if current else token
         if current:
             out.append(current)
+        if not out:
+            raise SpecError("family corpus names no family")
         return Corpus(
             graphs=tuple(_family(t) for t in out)
         )
@@ -798,10 +800,14 @@ def parse_statement_ids(text: str | None) -> list[str] | None:
 
 def _run_instance(args):
     sid, payload = args
-    # Each task starts with no memoized distances, so what it computes does
-    # not depend on which tasks its pool worker happened to run before.
-    distances.cache_clear()
     return check_statement(sid, payload)
+
+
+def _run_group(group):
+    # Each group starts with no memoized distances, so what it computes does
+    # not depend on which groups its pool worker happened to run before.
+    distances.cache_clear()
+    return [v for task in group for v in _run_instance(task)]
 
 
 def run_suite(
@@ -809,7 +815,16 @@ def run_suite(
     statement_ids: list[str] | None = None,
     jobs: int = 1,
 ) -> tuple[list[Verdict], dict]:
-    """Run statements over a corpus; verdicts sorted by (statement, instance)."""
+    """Run statements over a corpus; verdicts sorted by (statement, instance).
+
+    The unit of work is a group, whose tasks share the distance memo: one
+    corpus graph with its graph statements, one explicit pair with its pair
+    statements, or the fixed statements.  In a corpus without explicit pairs
+    each graph heads one pair, its rotation pair, whose pair statements join
+    the graph's group.  So a graph's distances, and those of its products,
+    are built once for all of their statements, and a graph that heads
+    many explicit pairs still spreads them over the pool.
+    """
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")
     if statement_ids is None:
@@ -821,22 +836,28 @@ def run_suite(
     for sid in ids:
         if sid not in STATEMENTS:
             raise SpecError(f"unknown statement id {sid!r}")
-    tasks: list[tuple[str, object]] = []
+    groups: dict[object, list[tuple[str, object]]] = {}
     for sid in ids:
         st = STATEMENTS[sid]
         if st.arity == "fixed":
-            tasks.append((sid, None))
+            groups.setdefault(None, []).append((sid, None))
         elif st.arity == "graph":
-            tasks.extend((sid, g) for g in corpus.derived_graphs())
+            for g in corpus.derived_graphs():
+                groups.setdefault(g, []).append((sid, g))
         else:
-            tasks.extend((sid, pair) for pair in corpus.derived_pairs())
+            for pair in corpus.derived_pairs():
+                key = pair if corpus.pairs else pair[0]
+                groups.setdefault(key, []).append((sid, pair))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_instance, tasks, chunksize=16))
+            # Each hand-off holds a future in this process; four groups (about
+            # a hundred tasks) keep those few and still reach a second worker
+            # from five groups on.
+            chunks = list(pool.map(_run_group, groups.values(), chunksize=4))
     else:
-        chunks = [_run_instance(t) for t in tasks]
+        chunks = [_run_group(group) for group in groups.values()]
     verdicts = sorted(
         (v for chunk in chunks for v in chunk),
         key=lambda v: (int(v.statement[1:]), v.instance),

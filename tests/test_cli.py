@@ -109,6 +109,15 @@ def test_corpus_cap_exit(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("corpus", ["family:", "pairs:family:path:3xfamily:"])
+def test_verify_empty_family_corpus_exits_2(capsys, corpus):
+    code, out, err = run(capsys, "verify", "--statements", "S1,S5", "--corpus", corpus)
+    assert code == 2
+    assert err.startswith("error: ") and "family corpus names no family" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_verify_single_fixed_statement(capsys):
     code, out, _ = run(capsys, "verify", "--statements", "S14")
     assert code == 0
@@ -132,6 +141,16 @@ def test_verify_exhaustive_4_stream_is_pinned(capsys):
 
 def test_verify_wide_pair_stream_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--statements", "all", "--corpus", WIDE_PAIRS)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PAIRS_SHA256
+
+
+def test_verify_wide_pair_stream_is_pinned_with_two_jobs(capsys):
+    # WIDE_PAIRS heads several pairs with each first graph; its 71 groups
+    # (14 graphs, 56 pairs, the fixed statements) reach both workers in 18
+    # hand-offs.
+    code, out, _ = run(capsys, "verify", "--statements", "all", "--corpus", WIDE_PAIRS,
+                       "--jobs", "2")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PAIRS_SHA256
 

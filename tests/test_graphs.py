@@ -61,6 +61,15 @@ def test_construction_rejects_bad_adjacency():
         Graph(0, ())
 
 
+def test_graph_built_from_a_list_hashes_like_a_tuple():
+    from genpos.positions import gp_outer
+
+    listed, tupled = Graph(3, [0b110, 0b101, 0b011]), Graph(3, (0b110, 0b101, 0b011))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert isinstance(listed.adj, tuple)
+    assert gp_outer(listed) == gp_outer(tupled) == (3, frozenset({0, 1, 2}))
+
+
 def test_mask_round_trip():
     assert to_mask([0, 2, 5]) == 0b100101
     assert sorted(from_mask(0b100101)) == [0, 2, 5]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from genpos import graphs
+from genpos import graphs, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
 from genpos.graph6 import write_graph6
@@ -186,6 +186,79 @@ def test_suite_parallel_matches_serial():
     assert [x.to_json() for x in v1] == [x.to_json() for x in v2]
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The graphs handed to the uncached BFS, in call order."""
+    seen = []
+    original = graphs.all_pairs_distances
+
+    def counting(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counting)
+    return seen
+
+
+def test_one_graph_corpus_builds_its_distances_once(built):
+    # run_suite runs a corpus graph through all of its statements as one
+    # group, so they share one memoized distance matrix.
+    verdicts, _ = run_suite(parse_corpus("family:cycle:5"), ["S1", "S2", "S4", "S6", "S7"])
+    assert len(verdicts) == 5
+    assert built == [cycle(5)]
+
+
+def test_run_suite_calls_run_instance_once_per_task(monkeypatch):
+    # The benchmark times each statement x instance by wrapping _run_instance,
+    # so it must stay the task unit inside each group.
+    calls = []
+    original = statements._run_instance
+
+    def counting(args):
+        calls.append(args)
+        return original(args)
+
+    monkeypatch.setattr(statements, "_run_instance", counting)
+    corpus = parse_corpus("exhaustive:3")
+    verdicts, _ = run_suite(corpus, jobs=1)
+    arities = [st.arity for st in STATEMENTS.values()]
+    expected = (arities.count("fixed")
+                + len(corpus.derived_graphs()) * arities.count("graph")
+                + len(corpus.derived_pairs()) * arities.count("pair"))
+    assert len(calls) == expected == 99
+    assert len({(sid, repr(inst)) for sid, inst in calls}) == len(calls)
+    assert len(verdicts) == 105
+
+
+@pytest.mark.parametrize("spec,expected", [
+    # Rotation corpus: each graph's group holds its rotation pair too.
+    ("family:cycle:5,path:3", [
+        [("S1", "C5"), ("S9", "C5,P3"), ("S12", "C5,P3")],
+        [("S1", "P3"), ("S9", "P3,C5"), ("S12", "P3,C5")],
+    ]),
+    # Explicit pairs: a first graph that heads several pairs does not hold
+    # them all in one group, so a pool can spread them over its workers.
+    ("pairs:family:cycle:5xfamily:path:3,cycle:5", [
+        [("S1", "C5")], [("S1", "P3")],
+        [("S9", "C5,P3"), ("S12", "C5,P3")],
+        [("S9", "C5,C5"), ("S12", "C5,C5")],
+    ]),
+])
+def test_run_suite_groups(monkeypatch, spec, expected):
+    names = {cycle(5): "C5", path(3): "P3"}
+    seen = []
+    original = statements._run_group
+
+    def recording(group):
+        seen.append([(sid, names[inst] if isinstance(inst, Graph)
+                      else ",".join(names[g] for g in inst)) for sid, inst in group])
+        return original(group)
+
+    monkeypatch.setattr(statements, "_run_group", recording)
+    run_suite(parse_corpus(spec), ["S1", "S9", "S12"])
+    assert seen == expected
+
+
 def test_unknown_statement_id_rejected():
     with pytest.raises(SpecError):
         run_suite(Corpus(), ["S0"])
@@ -217,15 +290,7 @@ def test_s22_small_instance_includes_isomorphism():
     assert any(k.startswith("iso_") for k in v.lhs)
 
 
-def test_one_pair_statement_builds_each_distance_matrix_once(monkeypatch):
-    built = []
-    original = graphs.all_pairs_distances
-
-    def counting(g):
-        built.append(g)
-        return original(g)
-
-    monkeypatch.setattr(graphs, "all_pairs_distances", counting)
+def test_one_pair_statement_builds_each_distance_matrix_once(built):
     g, h = cycle(5), path(3)
     distances.cache_clear()
     [verdict] = check_statement("S12", (g, h))
