@@ -60,11 +60,10 @@ def alpha_k(g: Graph, k: int) -> tuple[int, frozenset[int]]:
     """Largest set with pairwise distance > k; alpha_1 is the independence number."""
     if k < 1:
         raise DomainError("alpha_k requires k >= 1")
-    dm = require_connected(g, "alpha_k")
-    rows = [0] * g.n
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if dm.dist[u][v] > k:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    rows = []
+    for rings in require_connected(g, "alpha_k").layers:
+        far = 0
+        for ring in rings[k + 1:]:
+            far |= ring
+        rows.append(far)
     return max_clique(Graph(g.n, tuple(rows)))

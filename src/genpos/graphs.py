@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,11 +98,15 @@ class DistanceMatrix:
 
     ``dist[u][v]`` is an int hop count or ``INF`` across components.
     ``layers[s][d]`` is the mask of vertices at distance d from s, ending with
-    one empty mask, so ``layers[s][1]`` is N(s).  The blocker mask of an
-    unordered pair (u,v) is the bitmask of vertices w with w != u, w != v and
-    d(u,w) + d(w,v) = d(u,v), i.e. the strict interiors of the u,v-geodesics.
-    ``diameter`` is INF exactly when the graph is disconnected (``connected``
-    is False).
+    one empty mask, so ``layers[s][1]`` is N(s).  The lazily built tables are
+    each read off the layers in one pass.  ``blockers[u][v]`` is the mask of
+    the w with w != u, w != v and d(u,w) + d(w,v) = d(u,v) = d, i.e. the strict
+    interiors of the u,v-geodesics: the OR over 0 < k < d of
+    ``layers[u][k] & layers[v][d - k]``.  ``mmd[u]`` is the mask of the v
+    mutually maximally distant from u (no neighbour of u is farther from v
+    than u is, and vice versa): neither ``layers[u][1] & layers[v][d + 1]``
+    nor its mirror has a vertex.  ``diameter`` is INF exactly when the graph
+    is disconnected (``connected`` is False).
     """
 
     def __init__(self, dist: list[list[float]], layers: list[list[int]]):
@@ -118,21 +123,20 @@ class DistanceMatrix:
     def blockers(self) -> list[list[int]]:
         if self._blockers is None:
             n = self.n
-            dist = self.dist
+            layers = self.layers
             table = [[0] * n for _ in range(n)]
             for u in range(n):
-                du = dist[u]
+                du = self.dist[u]
+                lu = layers[u]
                 for v in range(u + 1, n):
-                    duv = du[v]
-                    if duv == INF or duv <= 1:
+                    d = du[v]
+                    if d == INF or d <= 1:
                         continue
-                    dv = dist[v]
+                    lv = layers[v]
                     m = 0
-                    for w in range(n):
-                        if w != u and w != v and du[w] + dv[w] == duv:
-                            m |= 1 << w
-                    table[u][v] = m
-                    table[v][u] = m
+                    for k in range(1, d):
+                        m |= lu[k] & lv[d - k]
+                    table[u][v] = table[v][u] = m
             self._blockers = table
         return self._blockers
 
@@ -140,25 +144,14 @@ class DistanceMatrix:
     def rowunion(self) -> list[int]:
         """rowunion[u] = union of blocker masks over all pairs (u, v)."""
         if self._rowunion is None:
-            blockers = self.blockers
-            self._rowunion = [0] * self.n
-            for u in range(self.n):
-                acc = 0
-                for v in range(self.n):
-                    acc |= blockers[u][v]
-                self._rowunion[u] = acc
+            self._rowunion = [functools.reduce(operator.or_, row) for row in self.blockers]
         return self._rowunion
 
     def all_blockers_union(self) -> int:
-        acc = 0
-        for m in self.rowunion:
-            acc |= m
-        return acc
+        return functools.reduce(operator.or_, self.rowunion)
 
     @property
     def mmd(self) -> list[int]:
-        """mmd[u] = mask of the v != u mutually maximally distant from u: no
-        neighbour of u is farther from v than u is, and vice versa."""
         if self._mmd is None:
             if not self.connected:
                 raise DomainError("maximal distance requires a connected graph")

@@ -3,18 +3,21 @@
 The mutually-maximally-distant (MMD) relation is the ``mmd`` table of the
 memoized distance matrix.  The strong resolving graph is that table as a
 plain ``Graph`` on all of V(G), and the boundary is the set of vertices with
-an MMD partner.  Also here: the distance->=2-or-true-twins graph used for
-lexicographic products, the twin-free boundary with its SRS graph, and the
-five-case test for mutual maximal distance in a strong product.
+an MMD partner.  The MMD table of a strong product is read off the factor
+tables and distances (the five-case lemma) by ``strong_product_mmd``.  Also
+here: the distance->=2-or-true-twins graph used for lexicographic products,
+and the twin-free boundary with its SRS graph.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .errors import DomainError
 from .graphs import (
     Graph,
     complement,
-    distances,
     induced_subgraph,
     is_complete,
     remove_true_twin_edges,
@@ -69,36 +72,35 @@ def tf_boundary_and_srs(g: Graph) -> tuple[frozenset[int], Graph, tuple[int, ...
     return frozenset(labels), srs, labels
 
 
-_CASES = ("i", "ii", "iii", "iv", "v")
+def strong_product_mmd(g: Graph, h: Graph) -> list[int]:
+    """The MMD table of the strong product of g and h, in the product codec
+    a * h.n + b, read off the factor tables.
 
-
-def check_mmd_product_cases(
-    g: Graph,
-    h: Graph,
-    pair_g: tuple[int, int],
-    pair_h: tuple[int, int],
-) -> tuple[bool, str | None]:
-    """Evaluate the five factor-level conditions equivalent to (g1,h1),(g2,h2)
-    being MMD in the strong product; returns (holds, first matching case tag).
+    (a,b) and (c,d) are MMD exactly when a,c are MMD in g and (b,d are MMD
+    in h, or b = d, or d_g(a,c) > d_h(b,d)), or when b,d are MMD in h and
+    (a = c or d_g(a,c) < d_h(b,d)).
     """
-    dm_g = distances(g)
-    dm_h = distances(h)
-    if not (dm_g.connected and dm_h.connected):
-        raise DomainError("mmd product cases requires a connected graph")
-    g1, g2 = pair_g
-    h1, h2 = pair_h
-    mmd_g = dm_g.mmd[g1] >> g2 & 1
-    mmd_h = dm_h.mmd[h1] >> h2 & 1
-    dg = dm_g.dist[g1][g2]
-    dh = dm_h.dist[h1][h2]
-    conditions = (
-        mmd_g and mmd_h,
-        mmd_g and h1 == h2,
-        mmd_h and g1 == g2,
-        mmd_g and dg > dh,
-        mmd_h and dg < dh,
-    )
-    for tag, cond in zip(_CASES, conditions):
-        if cond:
-            return True, tag
-    return False, None
+    dm_g = require_connected(g, "mmd product cases")
+    dm_h = require_connected(h, "mmd product cases")
+    # balls[b][r]: the vertices of h within distance r of b (all of h at the end)
+    balls = [list(itertools.accumulate(rings, operator.or_)) for rings in dm_h.layers]
+    table = []
+    for a in range(g.n):
+        mmd_a = dm_g.mmd[a]
+        dist_a = dm_g.dist[a]
+        for b in range(h.n):
+            ball = balls[b]
+            last = len(ball) - 1
+            mmd_b = dm_h.mmd[b]
+            row = 0
+            for c in range(g.n):
+                # block c over d: with a,c MMD, b,d MMD or d_h(b,d) < d_g(a,c)
+                # (b = d included); else b,d MMD and d_h(b,d) > d_g(a,c).
+                dg = dist_a[c]
+                if mmd_a >> c & 1:
+                    block = mmd_b | ball[min(dg - 1, last)]
+                else:
+                    block = mmd_b & ~ball[min(dg, last)]
+                row |= block << c * h.n
+            table.append(row)
+    return table

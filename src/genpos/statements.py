@@ -454,18 +454,16 @@ def check_s10(verdict, g: Graph, h: Graph) -> Verdict:
 @statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products")
 def check_s11(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S11)
-    prod = pg.graph
-    sr = resolving.strong_resolving_graph(prod)
-    for x in range(prod.n):
-        for y in range(x + 1, prod.n):
-            a, b = pg.decode(x)
-            c, d = pg.decode(y)
-            by_cases, _ = resolving.check_mmd_product_cases(g, h, (a, c), (b, d))
-            direct = sr.has_edge(x, y)
-            if by_cases != direct:
-                return verdict("fails", lhs=direct, rhs=by_cases,
-                               counterexample=[[a, b], [c, d]])
-    pairs = prod.n * (prod.n - 1) // 2
+    by_cases = resolving.strong_product_mmd(g, h)
+    direct = distances(pg.graph).mmd
+    for x, (want, got) in enumerate(zip(by_cases, direct)):
+        # the first differing pair (x, y) with y > x
+        diff = (want ^ got) >> (x + 1) << (x + 1)
+        if diff:
+            y = (diff & -diff).bit_length() - 1
+            return verdict("fails", lhs=bool(got >> y & 1), rhs=bool(want >> y & 1),
+                           counterexample=[list(pg.decode(x)), list(pg.decode(y))])
+    pairs = pg.graph.n * (pg.graph.n - 1) // 2
     return verdict("holds", lhs=pairs, rhs=pairs, note="product vertex pairs checked")
 
 

@@ -244,6 +244,22 @@ def test_verify_exhaustive_script_bad_argument_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,code,lines", [
+    (("statements",), 0, 27),
+    (("verify", "--statements", "bogus"), 2, 0),
+])
+def test_python_dash_m_runs_the_cli(argv, code, lines):
+    src = os.path.dirname(os.path.dirname(statements.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genpos", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stdout.splitlines()) == lines
+
+
 def test_statements_listing(capsys):
     code, out, _ = run(capsys, "statements")
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genpos.cliques import alpha_k, independence_number, max_clique
 from genpos.errors import DomainError
-from genpos.graphs import Graph, is_connected
+from genpos.graphs import Graph, all_pairs_distances, is_connected
 
 
 def random_graph(n, bits):
@@ -79,6 +79,22 @@ def test_alpha_k_chain_is_nonincreasing(bits):
     values = [alpha_k(g, k)[0] for k in range(1, 7)]
     assert values == sorted(values, reverse=True)
     assert values[0] == independence_number(g)[0]
+
+
+@given(n=st.integers(1, 8), bits=st.integers(0))
+@settings(max_examples=60, deadline=None)
+def test_alpha_k_matches_brute_force(n, bits):
+    g = random_graph(n, bits)
+    if not is_connected(g):
+        return
+    dist = all_pairs_distances(g).dist
+    diam = max(max(row) for row in dist)
+    for k in range(1, diam + 2):
+        size, witness = alpha_k(g, k)
+        best = max(r for r in range(1, n + 1) for c in combinations(range(n), r)
+                   if all(dist[u][v] > k for u, v in combinations(c, 2)))
+        assert size == best == len(witness)
+        assert all(dist[u][v] > k for u, v in combinations(sorted(witness), 2))
 
 
 def test_alpha_k_on_paths():

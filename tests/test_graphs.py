@@ -26,6 +26,7 @@ from genpos.graphs import (
     true_twin_pairs,
     universal_vertices,
 )
+from genpos.products import strong_product
 
 
 def path(n):
@@ -112,21 +113,30 @@ def test_blockers_unions():
     assert dm.all_blockers_union() == to_mask([1])
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
-@settings(max_examples=80, deadline=None)
-def test_blockers_against_definition(n, bits):
-    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+def assert_blockers_match_definition(g):
     dm = all_pairs_distances(g)
-    for u in range(n):
-        for v in range(n):
+    for u in range(g.n):
+        for v in range(g.n):
             if u == v or dm.dist[u][v] == math.inf:
                 continue
             expected = to_mask(
-                w for w in range(n)
+                w for w in range(g.n)
                 if w not in (u, v)
                 and dm.dist[u][w] + dm.dist[w][v] == dm.dist[u][v]
             )
             assert dm.blockers[u][v] == expected
+
+
+@given(n=st.integers(2, 7), bits=st.integers(0))
+@settings(max_examples=80, deadline=None)
+def test_blockers_against_definition(n, bits):
+    assert_blockers_match_definition(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
+
+
+@pytest.mark.parametrize("g", [path(12), strong_product(cycle(5), path(6)).graph],
+                         ids=["path:12", "strong(cycle:5,path:6)"])
+def test_blockers_against_definition_on_long_layers(g):
+    assert_blockers_match_definition(g)
 
 
 @given(n=st.integers(1, 7), bits=st.integers(0))

@@ -1,7 +1,7 @@
-"""Boundary, strong resolving graphs, auxiliary graphs, the five-case test."""
+"""Boundary, strong resolving graphs, auxiliary graphs, the strong-product MMD table."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genpos.cliques import max_clique
 from genpos.errors import DomainError
@@ -14,9 +14,9 @@ from genpos.graphs import (
 from genpos.products import strong_product
 from genpos.resolving import (
     boundary,
-    check_mmd_product_cases,
     g2bar,
     prune_isolated,
+    strong_product_mmd,
     strong_resolving_graph,
     tf_boundary_and_srs,
 )
@@ -63,7 +63,7 @@ def test_five_cases_need_connected_factors():
     split = Graph.from_edges(3, [(0, 1)])
     for g, h in ((split, path(3)), (path(3), split)):
         with pytest.raises(DomainError, match="mmd product cases requires a connected graph"):
-            check_mmd_product_cases(g, h, (0, 1), (0, 1))
+            strong_product_mmd(g, h)
 
 
 def test_boundary_known_values():
@@ -148,18 +148,13 @@ def test_tf_boundary_examples():
         tf_boundary_and_srs(complete(3))
 
 
-@given(ng=st.integers(2, 4), nh=st.integers(2, 4),
+@given(ng=st.integers(1, 4), nh=st.integers(1, 4),
        bg=st.integers(0), bh=st.integers(0))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
+@example(ng=1, nh=3, bg=0, bh=3)
+@example(ng=4, nh=1, bg=0b111000, bh=0)
 def test_five_cases_match_direct_product_mmd(ng, nh, bg, bh):
     g = random_connected(ng, bg)
     h = random_connected(nh, bh)
-    p = strong_product(g, h)
-    direct = strong_resolving_graph(p.graph)
-    for x in range(p.graph.n):
-        for y in range(x + 1, p.graph.n):
-            a, b = p.decode(x)
-            c, d = p.decode(y)
-            holds, tag = check_mmd_product_cases(g, h, (a, c), (b, d))
-            assert holds == direct.has_edge(x, y)
-            assert (tag is not None) == holds
+    direct = all_pairs_distances(strong_product(g, h).graph).mmd
+    assert strong_product_mmd(g, h) == direct

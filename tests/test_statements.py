@@ -2,7 +2,7 @@
 
 import pytest
 
-from genpos import graphs, statements
+from genpos import graphs, resolving, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
 from genpos.graph6 import write_graph6
@@ -288,6 +288,28 @@ def test_s22_small_instance_includes_isomorphism():
     v = check_statement("S22", (path(3), path(2)))[0]
     assert v.outcome == "holds"
     assert any(k.startswith("iso_") for k in v.lhs)
+
+
+def test_s11_reports_the_first_differing_pair(monkeypatch):
+    g, h = cycle(4), path(3)
+    p = strong_product(g, h)
+    direct = distances(p.graph).mmd
+    table = resolving.strong_product_mmd
+
+    def flipped(g, h):
+        rows = list(table(g, h))
+        for x, y in ((2, 7), (1, 9)):
+            rows[x] ^= 1 << y
+            rows[y] ^= 1 << x
+        return rows
+
+    monkeypatch.setattr(resolving, "strong_product_mmd", flipped)
+    [v] = check_statement("S11", (g, h))
+    assert v.outcome == "fails"
+    # (1, 9) comes before (2, 7) in row-major order
+    assert v.lhs is bool(direct[1] >> 9 & 1)
+    assert v.rhs is (not v.lhs)
+    assert v.counterexample == [list(p.decode(1)), list(p.decode(9))] == [[0, 1], [3, 0]]
 
 
 def test_one_pair_statement_builds_each_distance_matrix_once(built):
