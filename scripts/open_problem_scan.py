@@ -8,11 +8,16 @@ product order modest.
 Usage:
     python scripts/open_problem_scan.py --max-n 4
     python scripts/open_problem_scan.py --max-n 5 --product-cap 20
+
+Exit code 0 after the scan (gaps are reported, not failed), 2 on a bad
+argument (an order outside the exhaustive range): it prints
+``error: <message>`` on stderr.
 """
 
 import argparse
 import sys
 
+from genpos.errors import GenposError
 from genpos.graph6 import write_graph6
 from genpos.graphs import all_pairs_distances
 from genpos.positions import max_gp_oracle
@@ -20,13 +25,7 @@ from genpos.products import strong_product
 from genpos.statements import enumerate_connected
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=4)
-    ap.add_argument("--min-n", type=int, default=2)
-    ap.add_argument("--product-cap", type=int, default=16)
-    args = ap.parse_args()
-
+def scan(args) -> int:
     graphs = []
     for n in range(args.min_n, args.max_n + 1):
         graphs.extend(enumerate_connected(n))
@@ -49,6 +48,19 @@ def main() -> int:
                       f"gp(product)={val}, gp(G)gp(H)={gp[g] * gp[h]}")
     print(f"{checked} pairs checked, {gaps} with gp(product) != gp(G)gp(H)")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--min-n", type=int, default=2)
+    ap.add_argument("--product-cap", type=int, default=16)
+    args = ap.parse_args()
+    try:
+        return scan(args)
+    except GenposError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

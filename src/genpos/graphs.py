@@ -105,7 +105,11 @@ class DistanceMatrix:
     ``layers[u][k] & layers[v][d - k]``.  ``mmd[u]`` is the mask of the v
     mutually maximally distant from u (no neighbour of u is farther from v
     than u is, and vice versa): neither ``layers[u][1] & layers[v][d + 1]``
-    nor its mirror has a vertex.  ``diameter`` is INF exactly when the graph
+    nor its mirror has a vertex.  ``shadow[u][v]`` is the mask of the w for
+    which v lies strictly inside a u,w-geodesic, i.e. d(u,w) = d(u,v) +
+    d(v,w) with v != u, w: the OR over k >= 1 of ``layers[u][d + k] &
+    layers[v][k]`` with d = d(u,v), so w is in ``shadow[u][v]`` exactly when
+    v is in ``blockers[u][w]``.  ``diameter`` is INF exactly when the graph
     is disconnected (``connected`` is False).
     """
 
@@ -118,6 +122,7 @@ class DistanceMatrix:
         self._blockers: list[list[int]] | None = None
         self._rowunion: list[int] | None = None
         self._mmd: list[int] | None = None
+        self._shadow: list[list[int]] | None = None
 
     @property
     def blockers(self) -> list[list[int]]:
@@ -139,6 +144,29 @@ class DistanceMatrix:
                     table[u][v] = table[v][u] = m
             self._blockers = table
         return self._blockers
+
+    @property
+    def shadow(self) -> list[list[int]]:
+        if self._shadow is None:
+            layers = self.layers
+            table = []
+            for u in range(self.n):
+                du = self.dist[u]
+                lu = layers[u]
+                top = len(lu) - 1  # lu[top] is the closing empty mask
+                row = [0] * self.n
+                for v in range(self.n):
+                    d = du[v]
+                    if d == 0 or d + 1 >= top:  # v == u, or no vertex beyond v (d may be INF)
+                        continue
+                    lv = layers[v]
+                    m = 0
+                    for k in range(1, top - d):
+                        m |= lu[d + k] & lv[k]
+                    row[v] = m
+                table.append(row)
+            self._shadow = table
+        return self._shadow
 
     @property
     def rowunion(self) -> list[int]:
@@ -277,14 +305,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(labels), tuple(rows)), labels
 
 
+def true_twin_classes(adj: Iterable[int]) -> list[list[int]]:
+    """The classes of two or more vertices with equal closed neighborhoods,
+    each sorted, from adjacency rows (``Graph.adj``, or ``layers[s][1]`` of a
+    distance matrix)."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        classes.setdefault(row | 1 << v, []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
 def true_twin_pairs(g: Graph) -> frozenset[tuple[int, int]]:
     """Pairs u < v with equal closed neighborhoods (necessarily adjacent)."""
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
     return frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in iter_bits(g.adj[u])
-        if u < v and closed[u] == closed[v]
+        pair for c in true_twin_classes(g.adj) for pair in itertools.combinations(c, 2)
     )
 
 

@@ -14,9 +14,12 @@ gp_o and gp_d with the other engine up to the orders in ``CROSS_CHECK_CAPS``
 and raises on a disagreement.
 
 One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
-the convex-complement search for gp_d, pruned by the geodesic hull of the
-excluded vertices.  The dual oracle tracks pairwise forbidden masks instead,
-so the two gp_d engines stay independent.
+the convex-complement search for gp_d.  It carries the mask of the vertices
+that can still join X, shrunk by the blocker and shadow tables when a vertex
+joins, by the geodesic hull of the excluded vertices in dual mode, and by
+the true-twin rule (a twin is offered only after its lower twins).  The dual
+and outer oracles stay definition-level and twin-blind, so gp_d and gp_o
+keep two independent engines.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .graphs import (
     require_connected,
     simplicial_vertices,
     to_mask,
+    true_twin_classes,
 )
 
 VertexSet = Iterable[int]
@@ -113,53 +117,82 @@ def _is_dual_mask(dm: DistanceMatrix, xmask: int) -> bool:
 
 def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]:
     """Largest general position set (with ``dual``, largest whose complement
-    is convex), by blocked-triple branch-and-bound.
+    is convex), by branch and bound on a candidate mask.
 
-    In dual mode ``hull`` is the geodesic hull of the vertices excluded for
-    the whole subtree: branching on v excludes every vertex of [start, v).
-    A hull vertex is never offered, the bound counts only vertices outside
-    ``blocked`` and the hull, and once the hull meets X the node returns,
-    since later siblings only enlarge the hull.
+    The search visits general position sets in lexicographic order of their
+    sorted labels (lowest candidate first, include before exclude), so the
+    witness is the lexicographically first maximum set.  ``cand`` holds the
+    vertices above the last member of X that can still join it; the bound is
+    ``size + popcount(cand)``.  Three prunes shrink ``cand``, each sound:
+
+    - Shadow kills.  X + v + w is in general position exactly when X + v and
+      X + w are and no triple {u, v, w} with u in X has one vertex strictly
+      inside a geodesic of the other two: w not in ``blockers[v][u]``, v not
+      in ``blockers[u][w]`` (w not in ``shadow[u][v]``) and u not in
+      ``blockers[v][w]`` (w not in ``shadow[v][u]``).  So removing those
+      three masks for every u in X when v joins keeps ``cand`` exactly the
+      set of w that can join X + v.
+    - Hull (dual mode).  Every vertex below v outside X lies in the
+      complement of any X accepted under this branch, and that complement is
+      convex, so it contains their geodesic hull.  Before v is offered the
+      hull is grown to cover them and removed from ``cand``; once it meets X
+      no set of the branch (or of a later sibling, whose hull is larger) is
+      accepted.  Each accepted X is still tested on its whole complement.
+    - True twins.  v is offered only when every lower-labelled true twin of
+      v is in X: once v is passed over, its higher true twins leave
+      ``cand``.  Swapping two true twins is an automorphism, so it maps
+      general position sets and dual sets to sets of the same kind and size.
+      A maximum set S that holds v but not a lower twin u maps to S - v + u,
+      which is lexicographically smaller.  So the lexicographically first
+      maximum set holds no twin without its lower twins, no twin kill
+      removes one of its members, and it is still reached and still the
+      witness.
     """
     n = dm.n
     full = (1 << n) - 1
     blockers = dm.blockers
+    shadow = dm.shadow
+    twins_above = [0] * n
+    for twins in true_twin_classes(rings[1] for rings in dm.layers):
+        above = to_mask(twins)
+        for v in twins:
+            above ^= 1 << v
+            twins_above[v] = above
     best = -1
     best_mask = 0
 
-    def extend(xmask: int, size: int, start: int, blocked: int, hull: int) -> None:
+    def extend(xmask: int, size: int, cand: int, hull: int) -> None:
         nonlocal best, best_mask
         if size > best and (not dual or _pairs_avoid(blockers, ~xmask & full, xmask)):
             best, best_mask = size, xmask
-        for v in range(start, n):
-            room = (full >> v << v & ~(blocked | hull)).bit_count() if dual else n - v
-            if size + room <= best:
-                return
-            if not (blocked | hull) >> v & 1:
-                ok = True
-                nb = blocked
-                for u in iter_bits(xmask):
-                    b = blockers[u][v]
-                    if b & xmask:
-                        ok = False
-                        break
-                    nb |= b
-                if ok:
-                    extend(xmask | 1 << v, size + 1, v + 1, nb, hull)
+        while cand:
+            low = cand & -cand
             if dual:
-                hull = _hull_with(blockers, hull, v)
+                hull = _hull_with(blockers, hull, (low - 1) & ~xmask)
                 if hull & xmask:
                     return
+                cand &= ~hull
+                if not cand & low:
+                    continue
+            if size + cand.bit_count() <= best:
+                return
+            cand ^= low
+            v = low.bit_length() - 1
+            bv = blockers[v]
+            sv = shadow[v]
+            kill = 0
+            for u in iter_bits(xmask):
+                kill |= bv[u] | shadow[u][v] | sv[u]
+            extend(xmask | low, size + 1, cand & ~kill, hull)
+            cand &= ~twins_above[v]
 
-    extend(0, 0, 0, 0, 0)
+    extend(0, 0, full, 0)
     return best, from_mask(best_mask)
 
 
-def _hull_with(blockers: list[list[int]], hull: int, w: int) -> int:
-    """Geodesic hull of the convex set ``hull`` together with vertex ``w``."""
-    if hull >> w & 1:
-        return hull
-    todo = 1 << w
+def _hull_with(blockers: list[list[int]], hull: int, add: int) -> int:
+    """Geodesic hull of the convex set ``hull`` together with the mask ``add``."""
+    todo = add & ~hull
     hull |= todo
     while todo:
         x = (todo & -todo).bit_length() - 1
@@ -262,14 +295,8 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 
 def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Maximize |X| over general position sets whose complement is convex
-    (Pelayo 2013), by the gp search in dual mode.
-
-    Soundness of the hull prune: every vertex excluded below a branch lies
-    in the complement of any X accepted there, and that complement is convex,
-    so it contains their geodesic hull; a hull vertex can never join X, and
-    once the hull meets X no X of the subtree (or of a later sibling, whose
-    hull is larger) is accepted.  Each candidate X is still tested on its
-    whole complement.
+    (Pelayo 2013), by the gp search in dual mode; ``_max_gp_search`` argues
+    the soundness of its hull prune.
     """
     return _max_gp_search(dm, True)
 

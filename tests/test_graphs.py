@@ -133,10 +133,35 @@ def test_blockers_against_definition(n, bits):
     assert_blockers_match_definition(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
 
 
-@pytest.mark.parametrize("g", [path(12), strong_product(cycle(5), path(6)).graph],
-                         ids=["path:12", "strong(cycle:5,path:6)"])
+LONG_LAYERS = pytest.mark.parametrize(
+    "g", [path(12), strong_product(cycle(5), path(6)).graph],
+    ids=["path:12", "strong(cycle:5,path:6)"])
+
+
+@LONG_LAYERS
 def test_blockers_against_definition_on_long_layers(g):
     assert_blockers_match_definition(g)
+
+
+def assert_shadow_is_blocker_transpose(g):
+    # w is in shadow[u][v] exactly when v lies strictly inside a u,w-geodesic
+    dm = all_pairs_distances(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert dm.shadow[u][v] == to_mask(
+                w for w in range(g.n) if dm.blockers[u][w] >> v & 1)
+
+
+@given(n=st.integers(1, 10), bits=st.integers(0))
+@settings(max_examples=80, deadline=None)
+def test_shadow_against_definition(n, bits):
+    # no spanning path is grafted: disconnected graphs are drawn too
+    assert_shadow_is_blocker_transpose(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
+
+
+@LONG_LAYERS
+def test_shadow_against_definition_on_long_layers(g):
+    assert_shadow_is_blocker_transpose(g)
 
 
 @given(n=st.integers(1, 7), bits=st.integers(0))
@@ -192,6 +217,16 @@ def test_true_twins_and_removal():
     p4 = path(4)
     assert true_twin_pairs(p4) == frozenset()
     assert remove_true_twin_edges(p4) == p4
+
+
+@given(n=st.integers(1, 8), bits=st.integers(0))
+@settings(max_examples=80, deadline=None)
+def test_true_twin_pairs_against_definition(n, bits):
+    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+    assert true_twin_pairs(g) == {
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if g.closed_neighborhood(u) == g.closed_neighborhood(v)
+    }
 
 
 def test_join_and_union():

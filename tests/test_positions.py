@@ -1,6 +1,7 @@
 """Position predicates, both solver engines, and their agreement."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -56,6 +57,10 @@ def random_connected(n, bits):
         return g
     # graft a spanning path so every sampled graph is usable
     return Graph.from_edges(n, edges + [(i, i + 1) for i in range(n - 1)])
+
+
+def k4_with_pendant():
+    return Graph.from_edges(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
 
 
 def subsets(n):
@@ -167,6 +172,8 @@ def test_gp_and_outer_are_hereditary(n, bits):
     (lexicographic_product, "star:4", "path:5", 0),
     (strong_product, "star:4", "complete:5", 20),
     (lexicographic_product, "path:5", "complete:5", 10),
+    # 6 * gp_d(C5); every layer is a true-twin class of six
+    (lexicographic_product, "cycle:5", "complete:6", 12),
 ])
 def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
     g = build(families.generate(families.parse_family(a)),
@@ -176,6 +183,31 @@ def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
     size, witness = positions._max_dual_characterization(dm)
     assert size == max_dual_oracle(dm)[0] == expected
     assert len(witness) == size and is_dual_gp(dm, witness)
+
+
+# The lexicographically first maximum set is the witness of the gp search in
+# both modes; pinned on graphs full of true twins, so a change of search
+# order or of the twin rule shows here.
+TWIN_HEAVY_WITNESSES = [
+    (lexicographic_product(path(3), complete(2)).graph, [0, 1, 2, 3], [0, 1, 2, 3]),
+    (strong_product(complete(3), path(4)).graph, [0, 1, 4, 5, 8, 9], [0, 1, 4, 5, 8, 9]),
+    (strong_product(cycle(5), complete(2)).graph, [0, 1, 2, 3, 6, 7], [0, 1, 2, 3]),
+    (lexicographic_product(cycle(5), complete(3)).graph,
+     [0, 1, 2, 3, 4, 5, 9, 10, 11], [0, 1, 2, 3, 4, 5]),
+    (k4_with_pendant(), [0, 1, 2, 3], [0, 1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("g, gp_witness, dual_witness", TWIN_HEAVY_WITNESSES,
+                         ids=["lex(path:3,complete:2)", "strong(complete:3,path:4)",
+                              "strong(cycle:5,complete:2)", "lex(cycle:5,complete:3)",
+                              "K4+pendant"])
+def test_gp_search_witnesses_on_true_twins(g, gp_witness, dual_witness):
+    dm = all_pairs_distances(g)
+    assert max_gp_oracle(dm) == (len(gp_witness), frozenset(gp_witness))
+    assert positions._max_dual_characterization(dm) == (
+        len(dual_witness), frozenset(dual_witness))
+    assert max_dual_oracle(dm)[0] == len(dual_witness)
 
 
 # --------------------------------------------------------------------------
@@ -192,23 +224,41 @@ def test_known_values():
     assert gp_dual(complete(4))[0] == 4
 
 
-def _brute_gp_dual(g, nx):
-    """Largest dual set by subset enumeration over networkx geodesics."""
+def _nx_between(g, nx):
+    """Strict interiors of the u,v-geodesics of a connected graph, for every
+    pair u < v, read off networkx's shortest paths."""
     nxg = nx.Graph(g.edges())
     nxg.add_nodes_from(range(g.n))
-    between = {
+    return {
         (u, v): set().union(*(p[1:-1] for p in nx.all_shortest_paths(nxg, u, v)))
         for u, v in itertools.combinations(range(g.n), 2)
     }
+
+
+def _brute_max(g, nx, inside):
+    """Largest X for which no X vertex lies inside the geodesics of the
+    pairs that ``inside(u in X, v in X)`` selects."""
+    between = _nx_between(g, nx)
     best = 0
     for k in range(g.n + 1):
         for x in map(set, itertools.combinations(range(g.n), k)):
-            # dual: no X vertex inside a geodesic joining two X vertices
-            # (general position) or two non-X vertices (convex complement)
             if not any(between[u, v] & x for u, v in between
-                       if (u in x) == (v in x)):
+                       if inside(u in x, v in x)):
                 best = k
     return best
+
+
+def _brute_gp(g, nx):
+    """Largest general position set by subset enumeration over networkx
+    geodesics: no X vertex inside a geodesic joining two X vertices."""
+    return _brute_max(g, nx, lambda a, b: a and b)
+
+
+def _brute_gp_dual(g, nx):
+    """Largest dual set by subset enumeration over networkx geodesics."""
+    # dual: no X vertex inside a geodesic joining two X vertices (general
+    # position) or two non-X vertices (convex complement)
+    return _brute_max(g, nx, lambda a, b: a == b)
 
 
 def test_cycle_plus_dual_matches_networkx_brute_force():
@@ -220,6 +270,24 @@ def test_cycle_plus_dual_matches_networkx_brute_force():
     assert [_brute_gp_dual(g, nx) for g in graphs] == expected
     assert [gp_dual(g, engine="oracle")[0] for g in graphs] == expected
     assert [gp_dual(g)[0] for g in graphs] == expected
+
+
+def test_gp_oracle_matches_networkx_brute_force():
+    # gp has one engine; subset enumeration over networkx geodesics is its
+    # second, on seeded graphs and on fixed inputs with true twins
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2018)
+    graphs = [
+        lexicographic_product(path(3), complete(2)).graph,
+        strong_product(complete(2), path(3)).graph,
+        families.generate(families.parse_family("cycle_plus:5")),
+        k4_with_pendant(),
+    ] + [random_connected(rng.randint(2, 7), rng.getrandbits(21)) for _ in range(60)]
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        size, witness = max_gp_oracle(dm)
+        assert size == len(witness) == _brute_gp(g, nx)
+        assert is_general_position(dm, witness)
 
 
 def test_connected_required():
