@@ -35,6 +35,7 @@ from .graphs import (
     basic_counts,
     distances,
     from_mask,
+    group_memo,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -335,6 +336,7 @@ def gp_dual(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[
 CROSS_CHECK_CAPS = {"gp_t": None, "gp_o": 40, "gp_d": 16}
 
 
+@group_memo
 def invariant(
     key: str,
     g: Graph,
@@ -342,7 +344,10 @@ def invariant(
     cross_check: bool = True,
 ) -> tuple[int, frozenset[int]]:
     """gp_t, gp_o or gp_d of a connected graph with its witness, recomputed by
-    the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree."""
+    the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree.
+
+    Memoized per group (``graphs.group_memo``): a disagreement raises on
+    every call, since the memo stores no exception."""
     # looked up per call, so wrappers placed on the module names see the calls
     compute = {"gp_t": gp_total, "gp_o": gp_outer, "gp_d": gp_dual}[key]
     size, witness = compute(g, engine=engine)

@@ -6,13 +6,15 @@ block-graph structure, size caps) and returns a verdict: holds, fails, or
 precondition-not-met.  A checker is registered once, by ``@statement``,
 which names its instance and turns a failed ``_need`` (or ``_product`` above
 its cap) into the precondition-not-met verdict; the checker itself keeps
-only the mathematics.  The suite's central property is zero fails: the
-statements are proved facts, so a failing verdict flags an implementation
-bug.  The one documented exception is S17 on ``cycle_plus:7``, where the
-claimed gp_d = 3 is not attained (the value is 1; see ``check_s17``), so a
-full run reports exactly that one fail.  gp_t, gp_o and gp_d values feeding
-a verdict come from ``positions.invariant``, which cross-checks the two
-engines up to the orders in ``positions.CROSS_CHECK_CAPS``.
+only the mathematics.  Instance names and products are memoized per group
+(``graphs.group_memo``); the cap check stays outside the memo.  The suite's
+central property is zero fails: the statements are proved facts, so a
+failing verdict flags an implementation bug.  The one documented exception
+is S17 on ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the
+value is 1; see ``check_s17``), so a full run reports exactly that one fail.
+gp_t, gp_o and gp_d values feeding a verdict come from
+``positions.invariant``, which cross-checks the two engines up to the orders
+in ``positions.CROSS_CHECK_CAPS``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     Graph,
     basic_counts,
+    clear_memos,
     distances,
     from_mask,
+    group_memo,
     is_block_graph,
     is_complete,
     is_connected,
@@ -133,7 +137,7 @@ def statement(sid: str, arity: str, description: str):
                 return fn(partial(Verdict, sid))
         else:
             def checker(*graphs):
-                verdict = partial(Verdict, sid, ",".join(write_graph6(g) for g in graphs))
+                verdict = partial(Verdict, sid, ",".join(_graph6(g) for g in graphs))
                 try:
                     return fn(verdict, *graphs)
                 except _Unmet as unmet:
@@ -188,10 +192,22 @@ def _cone(h: Graph) -> Graph:
     return join(_family("path:1"), h)
 
 
+@group_memo
+def _graph6(g: Graph) -> str:
+    """``write_graph6(g)``, named once per group for all of its verdicts."""
+    return write_graph6(g)
+
+
+@group_memo
+def _built(build, g: Graph, h: Graph):
+    """``build(g, h)``, built once per group for all of its checkers."""
+    return build(g, h)
+
+
 def _product(build, g: Graph, h: Graph, cap: int):
     """build(g, h); a precondition that the product order is at most cap."""
     _need(g.n * h.n <= cap, f"product order above cap {cap}")
-    return build(g, h)
+    return _built(build, g, h)
 
 
 def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
@@ -334,7 +350,7 @@ def check_s15(verdict, g: Graph) -> Verdict:
     _need(_twin_free(g), "requires a twin-free graph")
     _need(distances(g).diameter == 2, "requires diameter 2")
     _need(g.n * g.n <= CAP_S15, f"square order above cap {CAP_S15}")
-    sq = strong_product(g, g).graph
+    sq = _built(strong_product, g, g).graph
     lhs = positions.invariant("gp_o", sq)[0]
     rhs = cliques.independence_number(sq)[0]
     return _equalities(verdict, {"gp_o_square_vs_alpha": (lhs, rhs)})
@@ -660,13 +676,13 @@ def check_s27(verdict, g: Graph, h: Graph) -> Verdict:
     notes = []
     if not simplicial_vertices(g) and not simplicial_vertices(h):
         if g.n * h.n <= CAP_S27_ZERO:
-            pg = lexicographic_product(g, h)
+            pg = _built(lexicographic_product, g, h)
             checks["no_simplicial_zero"] = (positions.invariant("gp_d", pg.graph)[0], 0)
         else:
             notes.append(f"i: product order above cap {CAP_S27_ZERO}")
     if is_complete(h):
         if g.n * h.n <= CAP_S27_COMPLETE:
-            pg = lexicographic_product(g, h)
+            pg = _built(lexicographic_product, g, h)
             checks["complete_layer_product"] = (
                 positions.invariant("gp_d", pg.graph)[0],
                 h.n * positions.invariant("gp_d", g)[0],
@@ -690,7 +706,8 @@ def check_statement(sid: str, instance=None) -> list[Verdict]:
         if not isinstance(instance, Graph):
             raise SpecError(f"{sid} expects a single graph instance")
         return [st.checker(instance)]
-    if not (isinstance(instance, tuple) and len(instance) == 2):
+    if not (isinstance(instance, tuple) and len(instance) == 2
+            and all(isinstance(g, Graph) for g in instance)):
         raise SpecError(f"{sid} expects a pair of graphs")
     return [st.checker(*instance)]
 
@@ -802,9 +819,10 @@ def _run_instance(args):
 
 
 def _run_group(group):
-    # Each group starts with no memoized distances, so what it computes does
-    # not depend on which groups its pool worker happened to run before.
-    distances.cache_clear()
+    # Each group starts with every memo empty (distances, products, instance
+    # names, invariants), so what it computes does not depend on which groups
+    # its pool worker happened to run before.
+    clear_memos()
     return [v for task in group for v in _run_instance(task)]
 
 
@@ -815,13 +833,14 @@ def run_suite(
 ) -> tuple[list[Verdict], dict]:
     """Run statements over a corpus; verdicts sorted by (statement, instance).
 
-    The unit of work is a group, whose tasks share the distance memo: one
-    corpus graph with its graph statements, one explicit pair with its pair
-    statements, or the fixed statements.  In a corpus without explicit pairs
-    each graph heads one pair, its rotation pair, whose pair statements join
-    the graph's group.  So a graph's distances, and those of its products,
-    are built once for all of their statements, and a graph that heads
-    many explicit pairs still spreads them over the pool.
+    The unit of work is a group, whose tasks share the per-group memos
+    (``graphs.clear_memos``): one corpus graph with its graph statements, one
+    explicit pair with its pair statements, or the fixed statements.  In a
+    corpus without explicit pairs each graph heads one pair, its rotation
+    pair, whose pair statements join the graph's group.  So a graph's
+    distances, instance name and cross-checked invariants, and its products
+    with theirs, are computed once for all of their statements, and a graph
+    that heads many explicit pairs still spreads them over the pool.
     """
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from genpos import families, positions
 from genpos.errors import DomainError, GenposError
 from genpos.graph6 import write_graph6
-from genpos.graphs import Graph, all_pairs_distances, is_connected
+from genpos.graphs import Graph, all_pairs_distances, clear_memos, is_connected
 from genpos.positions import (
     CROSS_CHECK_CAPS,
     compute_bundle,
@@ -369,6 +369,34 @@ def test_cross_check_catches_an_outer_disagreement(monkeypatch):
         check_statement("S12", (p3, path(4)))
     assert compute_bundle(c10, cross_check=False)["gp_o"] == 2
     assert invariant("gp_o", c10, cross_check=False)[0] == 2
+
+
+def test_cross_check_raises_on_every_call(monkeypatch):
+    # invariant is memoized, but a disagreement is never stored
+    c10 = cycle(10)
+    monkeypatch.setattr(positions, "max_outer_oracle",
+                        _off_by_one(positions.max_outer_oracle))
+    expected = _disagreement("gp_o", c10, "characterization=2", "oracle=3")
+    for _ in range(2):
+        with pytest.raises(GenposError, match=expected):
+            invariant("gp_o", c10)
+
+
+def test_invariant_is_memoized_until_the_memos_are_cleared(monkeypatch):
+    calls = []
+    original = positions.gp_outer
+
+    def counting(g, engine="characterization"):
+        calls.append(engine)
+        return original(g, engine=engine)
+
+    monkeypatch.setattr(positions, "gp_outer", counting)
+    first = invariant("gp_o", cycle(7))
+    assert invariant("gp_o", cycle(7)) is first
+    assert calls == ["characterization", "oracle"]
+    clear_memos()
+    assert invariant("gp_o", cycle(7)) == first
+    assert len(calls) == 4
 
 
 def test_cross_check_catches_a_dual_disagreement_in_s16(monkeypatch):

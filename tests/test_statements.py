@@ -7,7 +7,7 @@ from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
 from genpos.graph6 import write_graph6
 from genpos.graphs import Graph, distances
-from genpos.products import strong_product
+from genpos.products import lexicographic_product, strong_product
 from genpos.statements import (
     STATEMENTS,
     Corpus,
@@ -143,6 +143,12 @@ def test_check_statement_dispatch():
         check_statement("S14", cycle(5))
 
 
+@pytest.mark.parametrize("instance", [[1, 2], (1, 2), (cycle(5), 2), (cycle(5),)])
+def test_pair_statement_rejects_a_non_pair(instance):
+    with pytest.raises(SpecError, match="^S9 expects a pair of graphs$"):
+        check_statement("S9", instance)
+
+
 def test_verdict_json_shape():
     v = check_statement("S1", cycle(5))[0]
     j = v.to_json()
@@ -259,6 +265,32 @@ def test_run_suite_groups(monkeypatch, spec, expected):
     assert seen == expected
 
 
+def test_each_group_starts_with_every_memo_empty(monkeypatch):
+    memos = graphs._MEMOS
+    firsts = []
+    sizes = {}
+    run_group, run_instance = statements._run_group, statements._run_instance
+
+    def recording_group(group):
+        firsts.append(group[0])
+        return run_group(group)
+
+    def recording_instance(task):
+        sizes.setdefault(id(task), [m.cache_info().currsize for m in memos])
+        return run_instance(task)
+
+    monkeypatch.setattr(statements, "_run_group", recording_group)
+    monkeypatch.setattr(statements, "_run_instance", recording_instance)
+    check_statement("S10", (cycle(5), path(3)))  # warm every memo before the run
+    assert all(m.cache_info().currsize for m in memos)
+    run_suite(parse_corpus("family:cycle:5,path:3"))
+    assert len(firsts) == 3  # the fixed statements, then one group per graph
+    first_ids = {id(task) for task in firsts}
+    assert all(sizes[task_id] == [0] * len(memos) for task_id in first_ids)
+    # ... and the groups do fill them
+    assert all(any(s) for task_id, s in sizes.items() if task_id not in first_ids)
+
+
 def test_unknown_statement_id_rejected():
     with pytest.raises(SpecError):
         run_suite(Corpus(), ["S0"])
@@ -314,11 +346,30 @@ def test_s11_reports_the_first_differing_pair(monkeypatch):
 
 def test_one_pair_statement_builds_each_distance_matrix_once(built):
     g, h = cycle(5), path(3)
-    distances.cache_clear()
     [verdict] = check_statement("S12", (g, h))
     assert verdict.outcome == "holds"
     prod = strong_product(g, h).graph
     assert sorted(built, key=lambda x: (x.n, x.adj)) == [h, g, prod]
+
+
+def test_product_memo_keeps_the_cap_check():
+    # S9 (cap 256) memoizes P5 x P5; S5 (cap 16) still reports its cap.
+    pair = (path(5), path(5))
+    assert check_statement("S9", pair)[0].outcome == "holds"
+    assert statements._built.cache_info().currsize == 1
+    for _ in range(2):
+        [v] = check_statement("S5", pair)
+        assert (v.outcome, v.note) == ("precondition-not-met", "product order above cap 16")
+
+
+def test_product_memo_returns_one_object_per_group():
+    first = statements._product(strong_product, cycle(5), path(3), 256)
+    again = statements._product(strong_product, cycle(5), path(3), 256)
+    assert again is first and again == strong_product(cycle(5), path(3))
+    assert statements._product(lexicographic_product, cycle(5), path(3), 256) != first
+    graphs.clear_memos()
+    fresh = statements._product(strong_product, cycle(5), path(3), 256)
+    assert fresh is not first and fresh == first
 
 
 @pytest.mark.parametrize("sid,g,h,note", [
