@@ -55,13 +55,7 @@ def cmd_invariants(args) -> int:
         _emit(positions.structure_bundle(g))
         return 0
     engine = "oracle" if args.oracle else "characterization"
-    bundle = positions.compute_bundle(
-        g,
-        witnesses=args.witnesses,
-        engine=engine,
-        cross_check=not args.no_cross_check,
-    )
-    _emit(bundle)
+    _emit(positions.compute_bundle(g, witnesses=args.witnesses, engine=engine))
     return 0
 
 
@@ -126,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--witnesses", action="store_true")
     p_inv.add_argument("--oracle", action="store_true",
                        help="force definition-level engines")
-    p_inv.add_argument("--no-cross-check", action="store_true")
     p_inv.add_argument("--allow-disconnected", action="store_true")
     p_inv.set_defaults(func=cmd_invariants)
 

@@ -224,27 +224,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(dist, layers)
 
 
-# How many recent graphs keep their distance matrix.  On the benchmark
-# workloads a larger cache saved few BFS passes (8 instead of 4: 3 of 717 on
-# bundles-mid, none elsewhere) and raised the peak memory of large products.
-DISTANCES_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=DISTANCES_CACHE_SIZE)
-def distances(g: Graph) -> DistanceMatrix:
-    """``all_pairs_distances(g)``, memoized on the frozen graph.
-
-    Every caller of one graph shares the returned matrix (and its lazily built
-    blocker and MMD tables), so callers must not modify it.
-    """
-    return all_pairs_distances(g)
-
-
 # How many recent results each group_memo keeps.  On a serial exhaustive:5
 # catalog pass `invariant` got 3,701 memo hits with 8 entries, as many with
 # 16 and 3,024 with 4; the products and instance names need only 2.
 MEMO_SIZE = 8
-_MEMOS = [distances]
+_MEMOS = []
 
 
 def group_memo(fn):
@@ -256,8 +240,18 @@ def group_memo(fn):
     return memo
 
 
+@group_memo
+def distances(g: Graph) -> DistanceMatrix:
+    """``all_pairs_distances(g)``, memoized on the frozen graph.
+
+    Every caller of one graph shares the returned matrix (and its lazily built
+    blocker and MMD tables), so callers must not modify it.
+    """
+    return all_pairs_distances(g)
+
+
 def clear_memos() -> None:
-    """Forget every memoized result: the distances and each ``group_memo``."""
+    """Forget every memoized result of each ``group_memo``."""
     for memo in _MEMOS:
         memo.cache_clear()
 

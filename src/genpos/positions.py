@@ -27,16 +27,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import cliques, resolving
-from .errors import DomainError, GenposError
+from .errors import GenposError
 from .graph6 import write_graph6
 from .graphs import (
     DistanceMatrix,
     Graph,
     basic_counts,
-    distances,
     from_mask,
     group_memo,
-    induced_subgraph,
     is_connected,
     iter_bits,
     require_connected,
@@ -341,7 +339,6 @@ def invariant(
     key: str,
     g: Graph,
     engine: str = "characterization",
-    cross_check: bool = True,
 ) -> tuple[int, frozenset[int]]:
     """gp_t, gp_o or gp_d of a connected graph with its witness, recomputed by
     the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree.
@@ -352,7 +349,7 @@ def invariant(
     compute = {"gp_t": gp_total, "gp_o": gp_outer, "gp_d": gp_dual}[key]
     size, witness = compute(g, engine=engine)
     cap = CROSS_CHECK_CAPS[key]
-    if cross_check and (cap is None or g.n <= cap):
+    if cap is None or g.n <= cap:
         other = "oracle" if engine != "oracle" else "characterization"
         check, _ = compute(g, engine=other)
         if check != size:
@@ -364,27 +361,6 @@ def invariant(
 
 
 # ---------------------------------------------------------------------------
-# isometric restriction
-
-
-def restrict_to_isometric_subgraph(
-    g: Graph, sub: VertexSet, X: VertexSet
-) -> frozenset[int]:
-    """X restricted to an isometric induced subgraph, in subgraph labels."""
-    subgraph, labels = induced_subgraph(g, sub)
-    dm_g = distances(g)
-    dm_s = distances(subgraph)
-    for i, u in enumerate(labels):
-        for j, v in enumerate(labels):
-            if dm_s.dist[i][j] != dm_g.dist[u][v]:
-                raise DomainError(
-                    f"subgraph is not isometric: d({u},{v}) differs"
-                )
-    index = {old: new for new, old in enumerate(labels)}
-    return frozenset(index[v] for v in X if v in index)
-
-
-# ---------------------------------------------------------------------------
 # invariant bundles
 
 
@@ -392,7 +368,6 @@ def compute_bundle(
     g: Graph,
     witnesses: bool = False,
     engine: str = "characterization",
-    cross_check: bool = True,
 ) -> dict:
     """All invariants of one connected graph as a JSON-ready dict."""
     dm = require_connected(g, "invariants")
@@ -401,10 +376,7 @@ def compute_bundle(
     omega, omega_w = cliques.max_clique(g)
     alpha, alpha_w = cliques.independence_number(g)
     gp, gp_w = max_gp_oracle(dm)
-    vals = {
-        key: invariant(key, g, engine=engine, cross_check=cross_check)
-        for key in CROSS_CHECK_CAPS
-    }
+    vals = {key: invariant(key, g, engine=engine) for key in CROSS_CHECK_CAPS}
     bundle = {
         "n": n,
         "n1": n1,

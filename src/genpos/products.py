@@ -1,4 +1,4 @@
-"""Strong and lexicographic products with layer bookkeeping.
+"""Strong and lexicographic products.
 
 The vertex codec is fixed once and everywhere: (g, h) <-> g * n_H + h.
 """
@@ -63,17 +63,4 @@ def lexicographic_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> 
         for b in range(nh):
             rows[a * nh + b] = cross | (h.adj[b] << (a * nh))
     return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh)
-
-
-def layer(p: ProductGraph, anchor: int, factor: str) -> frozenset[int]:
-    """G-layer at h=anchor (factor='G') or H-layer at g=anchor (factor='H')."""
-    if factor == "G":
-        if not 0 <= anchor < p.n_h:
-            raise ValueError(f"anchor {anchor} outside factor H")
-        return frozenset(p.encode(a, anchor) for a in range(p.n_g))
-    if factor == "H":
-        if not 0 <= anchor < p.n_g:
-            raise ValueError(f"anchor {anchor} outside factor G")
-        return frozenset(p.encode(anchor, b) for b in range(p.n_h))
-    raise ValueError(f"factor must be 'G' or 'H', got {factor!r}")
 

@@ -22,7 +22,6 @@ from .graphs import (
     is_complete,
     remove_true_twin_edges,
     require_connected,
-    true_twin_pairs,
 )
 
 
@@ -52,24 +51,22 @@ def prune_isolated(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:
     return induced_subgraph(g, keep)
 
 
-def tf_boundary_and_srs(g: Graph) -> tuple[frozenset[int], Graph, tuple[int, ...]]:
-    """TF-boundary and the SRS graph on it (labels map back to g).
+def tf_boundary_and_srs(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """The SRS graph on the TF-boundary, and its labels in g (the TF-boundary).
 
     Vertices are boundary vertices with a non-true-twin MMD partner; SRS edges
-    are exactly those partnerships.
+    are exactly those partnerships.  An adjacent pair is MMD exactly when its
+    closed neighbourhoods are equal, so the rows are ``mmd[u] & ~adj[u]``.
     """
     if is_complete(g):
         raise DomainError("the TF-boundary is defined for non-complete graphs only")
-    rows = list(require_connected(g, "tf_boundary").mmd)
-    for u, v in true_twin_pairs(g):
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    srs, labels = prune_isolated(Graph(g.n, tuple(rows)))
+    mmd = require_connected(g, "tf_boundary").mmd
+    srs, labels = prune_isolated(Graph(g.n, tuple(m & ~a for m, a in zip(mmd, g.adj))))
     if srs is None:
         # Cannot happen for a connected non-complete graph: a diametral pair
         # is MMD and non-adjacent, hence not true twins.
         raise DomainError("graph has no non-twin MMD pair")
-    return frozenset(labels), srs, labels
+    return srs, labels
 
 
 def strong_product_mmd(g: Graph, h: Graph) -> list[int]:

@@ -39,14 +39,13 @@ from .graphs import (
     is_complete,
     is_connected,
     disjoint_union,
-    induced_subgraph,
     join,
     remove_true_twin_edges,
     simplicial_vertices,
     true_twin_pairs,
     universal_vertices,
 )
-from .products import lexicographic_product, strong_product, layer as product_layer
+from .products import lexicographic_product, strong_product
 
 ENUMERATION_MAX_ORDER = 6
 ISO_MAX_ORDER = 12
@@ -349,8 +348,7 @@ def check_s8(verdict) -> list[Verdict]:
 def check_s15(verdict, g: Graph) -> Verdict:
     _need(_twin_free(g), "requires a twin-free graph")
     _need(distances(g).diameter == 2, "requires diameter 2")
-    _need(g.n * g.n <= CAP_S15, f"square order above cap {CAP_S15}")
-    sq = _built(strong_product, g, g).graph
+    sq = _product(strong_product, g, g, CAP_S15).graph
     lhs = positions.invariant("gp_o", sq)[0]
     rhs = cliques.independence_number(sq)[0]
     return _equalities(verdict, {"gp_o_square_vs_alpha": (lhs, rhs)})
@@ -418,8 +416,7 @@ def check_s21(verdict, g: Graph) -> Verdict:
 @statement("S5", "pair", "restriction to an isometric layer preserves all four properties")
 def check_s5(verdict, g: Graph, h: Graph) -> Verdict:
     pg = _product(strong_product, g, h, CAP_S5)
-    prod = pg.graph
-    dm = distances(prod)
+    dm = distances(pg.graph)
     sets = {
         "gp": positions.max_gp_oracle(dm)[1],
         "outer": positions.max_outer_oracle(dm)[1],
@@ -432,16 +429,19 @@ def check_s5(verdict, g: Graph, h: Graph) -> Verdict:
         "dual": positions.is_dual_gp,
         "total": positions.is_total_gp,
     }
-    layers = [product_layer(pg, b, "G") for b in range(h.n)]
-    layers += [product_layer(pg, a, "H") for a in range(g.n)]
+    # The G-layer at b induces G under a -> (a, b), the H-layer at a induces
+    # H under b -> (a, b); a layer is isometric when its rows of the product
+    # distances are the factor's distances.
+    layers = [(distances(g), [pg.encode(a, b) for a in range(g.n)]) for b in range(h.n)]
+    layers += [(distances(h), [pg.encode(a, b) for b in range(h.n)]) for a in range(g.n)]
     checked = 0
-    for sub in layers:
-        subgraph, _ = induced_subgraph(prod, sub)
-        dm_sub = distances(subgraph)
+    for dm_factor, labels in layers:
+        if [[dm.dist[u][v] for v in labels] for u in labels] != dm_factor.dist:
+            return verdict("fails", counterexample=labels, note="layer is not isometric")
         for name, X in sets.items():
-            restricted = positions.restrict_to_isometric_subgraph(prod, sub, X)
-            if not predicates[name](dm_sub, restricted):
-                return verdict("fails", lhs=name, counterexample=sorted(restricted),
+            restricted = [i for i, u in enumerate(labels) if u in X]
+            if not predicates[name](dm_factor, restricted):
+                return verdict("fails", lhs=name, counterexample=restricted,
                                note="restriction lost the property on a layer")
             checked += 1
     return verdict("holds", lhs=checked, rhs=checked, note="property-layer checks")
@@ -571,42 +571,25 @@ def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
     assert g_sr is not None
     b_g = g_sr.n
 
-    def rhs_for_item(item: str) -> Graph | None:
-        if item == "i":
-            h2 = resolving.g2bar(h)
-            h2p, _ = resolving.prune_isolated(h2)
-            if h2p is None:
-                return None
-            parts = [lexicographic_product(g_sr, h2).graph]
-            parts += [h2p] * (g.n - b_g)
-            return disjoint_union(parts)
-        if item == "ii":
-            parts = [lexicographic_product(g_sr, h).graph]
-            parts += [h] * (g.n - b_g)
-            return disjoint_union(parts)
-        if item == "iii":
-            return disjoint_union([resolving.g2bar(h)] * g.n)
-        tfb, srs, _ = resolving.tf_boundary_and_srs(g)
-        h2 = resolving.g2bar(h)
-        parts = [lexicographic_product(srs, h2).graph]
-        parts += [h2] * (g.n - len(tfb))
-        return disjoint_union(parts)
-
-    applicable = []
+    h2 = resolving.g2bar(h)
+    # item -> right-hand-side graph (None when it is empty), items in order
+    rhs: dict[str, Graph | None] = {}
     if _twin_free(g) and not is_complete(h):
-        applicable.append("i")
+        h2p, _ = resolving.prune_isolated(h2)
+        rhs["i"] = None if h2p is None else disjoint_union(
+            [lexicographic_product(g_sr, h2).graph] + [h2p] * (g.n - b_g))
     if is_complete(h):
-        applicable.append("ii")
+        rhs["ii"] = disjoint_union([lexicographic_product(g_sr, h).graph] + [h] * (g.n - b_g))
     if is_complete(g) and _no_universal(h):
-        applicable.append("iii")
+        rhs["iii"] = disjoint_union([h2] * g.n)
     if not is_complete(g) and _no_universal(h):
-        applicable.append("iv")
-    _need(bool(applicable), "no clause applicable")
+        srs, _ = resolving.tf_boundary_and_srs(g)
+        rhs["iv"] = disjoint_union([lexicographic_product(srs, h2).graph] + [h2] * (g.n - srs.n))
+    _need(bool(rhs), "no clause applicable")
 
     checks = {}
     notes = []
-    for item in applicable:
-        rhs_graph = rhs_for_item(item)
+    for item, rhs_graph in rhs.items():
         if rhs_graph is None:
             notes.append(f"{item}: empty right-hand side")
             continue
@@ -663,7 +646,7 @@ def check_s26(verdict, g: Graph, h: Graph) -> Verdict:
     _need(not is_complete(g), "first factor must be non-complete")
     _need(h.n >= 2 and _no_universal(h), "second factor must have no universal vertex")
     pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
-    _, srs, _ = resolving.tf_boundary_and_srs(g)
+    srs, _ = resolving.tf_boundary_and_srs(g)
     omega_srs = cliques.max_clique(srs)[0]
     lhs = positions.invariant("gp_o", pg.graph)[0]
     tag, gpo = _outer_cone_form(h)
@@ -771,22 +754,11 @@ def parse_corpus(spec: str) -> Corpus:
             graphs = tuple(parse_graph6(line) for line in fh if line.strip())
         return Corpus(graphs=graphs)
     if spec.startswith("family:"):
-        body = spec[len("family:"):]
-        out = []
-        current = ""
-        for token in body.split(","):
-            if ":" in token and current:
-                out.append(current)
-                current = token
-            else:
-                current = f"{current},{token}" if current else token
-        if current:
-            out.append(current)
+        # a comma followed by a family tag starts the next family
+        out = [t for t in re.split(r",(?=[a-z_]+:)", spec[len("family:"):]) if t]
         if not out:
             raise SpecError("family corpus names no family")
-        return Corpus(
-            graphs=tuple(_family(t) for t in out)
-        )
+        return Corpus(graphs=tuple(_family(t) for t in out))
     if spec.startswith("pairs:"):
         body = spec[len("pairs:"):]
         split = re.search(r"x(?=exhaustive:|file:|family:)", body)

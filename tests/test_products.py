@@ -10,7 +10,6 @@ from genpos.graphs import (
     is_connected,
 )
 from genpos.products import (
-    layer,
     lexicographic_product,
     strong_product,
 )
@@ -122,12 +121,6 @@ def test_codec_round_trip_and_layers():
     p = strong_product(path(3), path(4))
     for x in range(12):
         assert p.encode(*p.decode(x)) == x
-    gl = layer(p, 2, "G")
-    assert gl == frozenset(p.encode(a, 2) for a in range(3))
-    hl = layer(p, 1, "H")
-    assert hl == frozenset(p.encode(1, b) for b in range(4))
-    with pytest.raises(ValueError):
-        layer(p, 9, "G")
 
 
 def test_vertex_cap():

@@ -1,7 +1,7 @@
 """Boundary, strong resolving graphs, auxiliary graphs, the strong-product MMD table."""
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from genpos.cliques import max_clique
 from genpos.errors import DomainError
@@ -138,14 +138,34 @@ def test_prune_isolated():
 
 
 def test_tf_boundary_examples():
-    tfb, srs, labels = tf_boundary_and_srs(cycle(5))
-    assert tfb == frozenset(range(5))
+    srs, labels = tf_boundary_and_srs(cycle(5))
+    assert frozenset(labels) == frozenset(range(5))
     assert srs.num_edges() == 5
-    tfb, srs, labels = tf_boundary_and_srs(path(4))
+    srs, labels = tf_boundary_and_srs(path(4))
     assert sorted(labels) == [0, 3]
     assert srs.num_edges() == 1
     with pytest.raises(DomainError):
         tf_boundary_and_srs(complete(3))
+
+
+@given(n=st.integers(3, 8), bits=st.integers(0))
+@settings(max_examples=100, deadline=None)
+@example(n=4, bits=0b011111)  # K4 minus an edge: MMD true twins and false twins
+def test_srs_edges_are_the_non_twin_mmd_pairs(n, bits):
+    g = random_connected(n, bits)
+    assume(g.num_edges() < n * (n - 1) // 2)
+    d = all_pairs_distances(g).dist
+
+    def mmd(u, v):
+        return (all(d[w][v] <= d[u][v] for w in range(n) if g.has_edge(u, w))
+                and all(d[u][w] <= d[u][v] for w in range(n) if g.has_edge(v, w)))
+
+    twins = true_twin_pairs(g)
+    expected = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if mmd(u, v) and (u, v) not in twins]
+    srs, labels = tf_boundary_and_srs(g)
+    assert sorted(tuple(sorted((labels[i], labels[j]))) for i, j in srs.edges()) == expected
+    assert sorted(labels) == sorted({v for pair in expected for v in pair})
 
 
 @given(ng=st.integers(1, 4), nh=st.integers(1, 4),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from genpos import graphs, resolving, statements
+from genpos import graphs, positions, resolving, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
 from genpos.graph6 import write_graph6
@@ -54,6 +54,19 @@ def test_corpus_exhaustive():
 def test_corpus_family_list_with_parameter_commas():
     c = parse_corpus("family:cycle:5,subdivided_star:3,1,path:2")
     assert [g.n for g in c.graphs] == [5, 7, 2]
+
+
+def test_corpus_family_list_with_a_join_spec():
+    # the join's left part has a parameter comma; only a comma followed by a
+    # family tag starts the next family
+    c = parse_corpus("family:join:subdivided_star:3,1+cycle:4,path:2")
+    assert [g.n for g in c.graphs] == [11, 2]
+    assert c.graphs[0] == generate(parse_family("join:subdivided_star:3,1+cycle:4"))
+
+
+def test_corpus_family_without_a_family():
+    with pytest.raises(SpecError, match="family corpus names no family"):
+        parse_corpus("family:")
 
 
 def test_corpus_file(tmp_path):
@@ -320,6 +333,41 @@ def test_s22_small_instance_includes_isomorphism():
     v = check_statement("S22", (path(3), path(2)))[0]
     assert v.outcome == "holds"
     assert any(k.startswith("iso_") for k in v.lhs)
+
+
+def test_s22_builds_g2bar_once_for_items_i_and_iv(monkeypatch):
+    calls = []
+    original = resolving.g2bar
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(resolving, "g2bar", counting)
+    g, h = path(3), cycle(4)  # twin-free G; H non-complete, no universal vertex
+    [v] = check_statement("S22", (g, h))
+    assert v.outcome == "holds"
+    assert {"omega_i", "omega_iv"} <= set(v.lhs)
+    assert calls == [h]
+
+
+def test_s5_reports_a_layer_that_is_not_isometric(monkeypatch):
+    # In P2 o P4 an H-layer induces P4, but its ends are at distance 2, not 3.
+    monkeypatch.setattr(statements, "strong_product", lexicographic_product)
+    [v] = check_statement("S5", (path(2), path(4)))
+    assert (v.outcome, v.note) == ("fails", "layer is not isometric")
+    assert v.counterexample == [0, 1, 2, 3]  # the H-layer at a = 0
+
+
+def test_s5_reports_the_lost_property_in_layer_labels(monkeypatch):
+    g, h = path(2), path(3)
+    monkeypatch.setattr(positions, "is_dual_gp", lambda dm, X: dm.n != h.n)
+    [v] = check_statement("S5", (g, h))
+    assert (v.outcome, v.lhs) == ("fails", "dual")
+    assert v.note == "restriction lost the property on a layer"
+    # the G-layers pass; the first H-layer, at a = 0, is {(0, b)} = {0, 1, 2}
+    dual = positions.max_dual_oracle(distances(strong_product(g, h).graph))[1]
+    assert v.counterexample == [b for b in range(h.n) if b in dual]
 
 
 def test_s11_reports_the_first_differing_pair(monkeypatch):
