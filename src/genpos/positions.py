@@ -17,13 +17,19 @@ One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
 the convex-complement search for gp_d.  It carries the mask of the vertices
 that can still join X, shrunk by the blocker and shadow tables when a vertex
 joins, by the geodesic hull of the excluded vertices in dual mode, and by
-the true-twin rule (a twin is offered only after its lower twins).  The dual
-and outer oracles stay definition-level and twin-blind, so gp_d and gp_o
-keep two independent engines.
+the true-twin rule (a twin is offered only after its lower twins).  Dual
+mode also reads the split-pair lemma: when x is in a dual set X, every pair
+with x strictly inside one of its geodesics has one end in X and the other
+outside.  So a vertex whose split pairs form a graph that is not bipartite is
+never offered, and a branch ends once a vertex that a split pair forces into
+X can no longer join it.  The dual and outer oracles stay definition-level
+and twin-blind, so gp_d and gp_o keep two independent engines.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable
 
 from . import cliques, resolving
@@ -146,6 +152,32 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
       maximum set holds no twin without its lower twins, no twin kill
       removes one of its members, and it is still reached and still the
       witness.
+
+    Dual mode also uses the split-pair lemma.  Let X be a dual set and x in
+    X.  Every pair {a, b} with x strictly inside an a,b-geodesic has one end
+    in X and the other in the complement C: both in X would break general
+    position, both in C the convexity of C.  These pairs are the edges of
+    the split graph Q_x, whose row a is ``shadow[a][x]``.  Two more prunes
+    follow from it:
+
+    - Split filter.  X and C two-colour Q_x, so a vertex whose Q_x is not
+      bipartite is in no dual set.  The search starts without those
+      vertices (``_never_dual``) in ``cand``, which takes no dual set away.
+    - Forced partners.  The hull lies in C.  So when v joins X, each a in
+      the hull forces ``shadow[a][v]`` into X, and when c enters the hull,
+      it forces ``shadow[c][u]`` into X for each u in X.  ``need`` collects
+      these vertices.  A branch ends once a ``need`` vertex is neither in X
+      nor in ``cand``: the branch accepts only sets inside X + cand, none of
+      which holds that vertex, so none is dual.  Where the twin rule took
+      the vertex out of ``cand``, that is the twin argument above: every
+      dual set of the branch would hold a twin without its lower twin, so
+      none is the witness.  An X that misses a ``need`` vertex is not tested.
+
+    On the path to the lexicographically first maximum dual set W, X is
+    inside W, the hull and ``_never_dual`` are outside it and W is inside
+    X + cand, so W holds every ``need`` vertex, the bound exceeds the best
+    size found before W and no prune fires: W is still reached and still
+    the witness.
     """
     n = dm.n
     full = (1 << n) - 1
@@ -160,17 +192,25 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     best = -1
     best_mask = 0
 
-    def extend(xmask: int, size: int, cand: int, hull: int) -> None:
+    def extend(xmask: int, size: int, cand: int, hull: int, need: int) -> None:
         nonlocal best, best_mask
-        if size > best and (not dual or _pairs_avoid(blockers, ~xmask & full, xmask)):
+        if size > best and (not dual or not need & ~xmask
+                            and _pairs_avoid(blockers, ~xmask & full, xmask)):
             best, best_mask = size, xmask
         while cand:
             low = cand & -cand
             if dual:
-                hull = _hull_with(blockers, hull, (low - 1) & ~xmask)
-                if hull & xmask:
+                grown = _hull_with(blockers, hull, (low - 1) & ~xmask)
+                if grown & xmask:
                     return
+                for c in iter_bits(grown & ~hull):
+                    sc = shadow[c]
+                    for u in iter_bits(xmask):
+                        need |= sc[u]
+                hull = grown
                 cand &= ~hull
+                if need & ~(xmask | cand):
+                    return
                 if not cand & low:
                     continue
             if size + cand.bit_count() <= best:
@@ -182,11 +222,43 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
             kill = 0
             for u in iter_bits(xmask):
                 kill |= bv[u] | shadow[u][v] | sv[u]
-            extend(xmask | low, size + 1, cand & ~kill, hull)
+            partners = need
+            if dual:
+                for c in iter_bits(hull):
+                    partners |= shadow[c][v]
+            extend(xmask | low, size + 1, cand & ~kill, hull, partners)
             cand &= ~twins_above[v]
 
-    extend(0, 0, full, 0)
+    extend(0, 0, full & ~_never_dual(dm) if dual else full, 0, 0)
     return best, from_mask(best_mask)
+
+
+def _never_dual(dm: DistanceMatrix) -> int:
+    """Mask of the vertices x in no dual set: those whose split graph Q_x is
+    not bipartite (``_max_gp_search`` proves the lemma).  Row a of Q_x is
+    ``shadow[a][x]``, the b with x strictly inside an a,b-geodesic; Q_x is
+    symmetric, so the OR of its rows is the set of its vertices with a
+    neighbour, empty unless x is in ``dm.all_blockers_union()``.  Each part
+    is two-coloured by a mask BFS, which fails on an edge inside one side."""
+    never = 0
+    for x, col in enumerate(zip(*dm.shadow)):
+        todo = functools.reduce(operator.or_, col)
+        while todo:
+            frontier = seen = todo & -todo
+            same, other = frontier, 0
+            while frontier:
+                nxt = 0
+                for a in iter_bits(frontier):
+                    nxt |= col[a]
+                if nxt & same:
+                    never |= 1 << x
+                    seen = todo
+                    break
+                frontier = nxt & ~seen
+                seen |= frontier
+                same, other = other | frontier, same
+            todo &= ~seen
+    return never
 
 
 def _hull_with(blockers: list[list[int]], hull: int, add: int) -> int:
@@ -295,7 +367,7 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Maximize |X| over general position sets whose complement is convex
     (Pelayo 2013), by the gp search in dual mode; ``_max_gp_search`` argues
-    the soundness of its hull prune.
+    the soundness of its hull and split-pair prunes.
     """
     return _max_gp_search(dm, True)
 

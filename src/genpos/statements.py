@@ -124,10 +124,13 @@ def statement(sid: str, arity: str, description: str):
     A graph or pair checker ``fn(verdict, g[, h])`` receives a Verdict
     factory bound to sid and the instance name, the graph6 of each argument
     joined by commas; a failed ``_need`` inside it becomes the
-    precondition-not-met verdict with that note.  A fixed checker
-    ``fn(verdict)`` names its own instances, so its factory is bound to sid
-    only.  The decorated name is the registered checker: ``check_sN(g[, h])``
-    returns one Verdict, a fixed ``check_sN()`` a list of them.
+    precondition-not-met verdict with that note.  It runs only on connected
+    arguments, the graphs the statements are about; a disconnected one (a
+    ``file:`` corpus may hold it) gets precondition-not-met with the note
+    "requires connected graphs".  A fixed checker ``fn(verdict)`` names its
+    own instances, so its factory is bound to sid only.  The decorated name
+    is the registered checker: ``check_sN(g[, h])`` returns one Verdict, a
+    fixed ``check_sN()`` a list of them.
     """
 
     def register(fn):
@@ -138,6 +141,8 @@ def statement(sid: str, arity: str, description: str):
             def checker(*graphs):
                 verdict = partial(Verdict, sid, ",".join(_graph6(g) for g in graphs))
                 try:
+                    _need(all(distances(g).connected for g in graphs),
+                          "requires connected graphs")
                     return fn(verdict, *graphs)
                 except _Unmet as unmet:
                     return verdict("precondition-not-met", note=str(unmet))

@@ -155,6 +155,26 @@ def test_verify_wide_pair_stream_is_pinned_with_two_jobs(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PAIRS_SHA256
 
 
+def test_verify_file_corpus_with_a_disconnected_graph(capsys, tmp_path):
+    # B? (three isolated vertices) next to path:3: every graph and pair
+    # verdict with B? is precondition-not-met, so the only fails verdict left
+    # is the documented S17 one and the run exits 1, not 2.
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("B?\nBg\n")
+    code, out, err = run(capsys, "verify", "--statements", "all", "--corpus", f"file:{corpus}")
+    assert code == 1 and err == ""
+    lines = [json.loads(l) for l in out.splitlines()]
+    fails = [(l["statement"], l["instance"]) for l in lines[:-1] if l["outcome"] == "fails"]
+    assert fails == [("S17", "cycle_plus:7")]
+    assert lines[-1]["fails"] == 1
+    skipped = [l for l in lines[:-1] if "B?" in l["instance"].split(",")]
+    arity = [st.arity for st in statements.STATEMENTS.values()]
+    # each graph statement on B?, each pair statement on (B?, Bg) and (Bg, B?)
+    assert len(skipped) == arity.count("graph") + 2 * arity.count("pair")
+    assert all(l["outcome"] == "precondition-not-met"
+               and l["note"] == "requires connected graphs" for l in skipped)
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     def crash(g, h):
         raise RuntimeError("injected crash")

@@ -184,6 +184,51 @@ def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
     assert len(witness) == size and is_dual_gp(dm, witness)
 
 
+# gp_d and witness of large products by the characterization alone, recorded
+# before the split-pair prunes of the dual search; max_dual_oracle confirms
+# them too, but takes seconds on lex(C8, K8), so it does not run here.
+@pytest.mark.parametrize("build, a, b, size, witness", [
+    (lexicographic_product, "cycle:8", "complete:8", 0, []),
+    (lexicographic_product, "cycle:9", "complete:9", 0, []),
+    (strong_product, "cycle:8", "cycle:8", 0, []),
+    (lexicographic_product, "cycle:9", "path:8", 0, []),
+    (lexicographic_product, "cycle:5", "complete:6", 12, list(range(12))),
+], ids=["lex(cycle:8,complete:8)", "lex(cycle:9,complete:9)", "strong(cycle:8,cycle:8)",
+        "lex(cycle:9,path:8)", "lex(cycle:5,complete:6)"])
+def test_recorded_dual_values_of_large_products(build, a, b, size, witness):
+    g = build(families.generate(families.parse_family(a)),
+              families.generate(families.parse_family(b))).graph
+    dm = all_pairs_distances(g)
+    assert positions._max_dual_characterization(dm) == (size, frozenset(witness))
+
+
+def test_split_filter_reach():
+    # Q_x of a star's centre is a triangle on the leaves: the centre is in no
+    # dual set.  In C8 x C8 every Q_x has an odd cycle, so the filter alone
+    # settles gp_d = 0.
+    star = families.generate(families.parse_family("star:3"))
+    [centre] = [v for v in range(star.n) if star.degree(v) == 3]
+    assert positions._never_dual(all_pairs_distances(star)) == 1 << centre
+    c8 = cycle(8)
+    square = strong_product(c8, c8).graph
+    assert positions._never_dual(all_pairs_distances(square)) == (1 << 64) - 1
+
+
+@given(n=st.integers(2, 8), bits=st.integers(0))
+@settings(max_examples=200, deadline=None)
+def test_dual_search_prunes_against_the_definition(n, bits):
+    g = random_connected(n, bits)
+    dm = all_pairs_distances(g)
+    dual = [x for x in subsets(n) if is_dual_gp(dm, x)]
+    # the split-pair filter excludes only vertices of no dual set
+    never = positions._never_dual(dm)
+    assert not any(never >> v & 1 for x in dual for v in x)
+    # the witness is the first largest dual set in combinations order
+    k = max(len(x) for x in dual)
+    first = next(x for x in itertools.combinations(range(n), k) if is_dual_gp(dm, x))
+    assert positions._max_dual_characterization(dm) == (k, frozenset(first))
+
+
 # The lexicographically first maximum set is the witness of the gp search in
 # both modes; pinned on graphs full of true twins, so a change of search
 # order or of the twin rule shows here.

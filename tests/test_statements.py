@@ -5,7 +5,7 @@ import pytest
 from genpos import graphs, positions, resolving, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.families import generate, parse_family
-from genpos.graph6 import write_graph6
+from genpos.graph6 import parse_graph6, write_graph6
 from genpos.graphs import Graph, distances
 from genpos.products import lexicographic_product, strong_product
 from genpos.statements import (
@@ -434,3 +434,27 @@ def test_skip_notes(sid, g, h, note):
     [v] = check_statement(sid, pair)
     assert (v.outcome, v.note) == ("precondition-not-met", note)
     assert v.instance == f"{write_graph6(pair[0])},{write_graph6(pair[1])}"
+
+
+# Three isolated vertices, as a file: corpus may hold them; path:3 is the
+# connected partner of the pair instances.
+THREE_ISOLATED = parse_graph6("B?")
+GRAPH_SIDS = [sid for sid, st in STATEMENTS.items() if st.arity == "graph"]
+PAIR_SIDS = [sid for sid, st in STATEMENTS.items() if st.arity == "pair"]
+DISCONNECTED_CASES = [(sid, THREE_ISOLATED, "B?") for sid in GRAPH_SIDS] + [
+    (sid, pair, name) for sid in PAIR_SIDS for pair, name in [
+        ((path(3), THREE_ISOLATED), "path:3,B?"),
+        ((THREE_ISOLATED, path(3)), "B?,path:3"),
+        ((THREE_ISOLATED, THREE_ISOLATED), "B?,B?"),
+    ]
+]
+
+
+@pytest.mark.parametrize("sid, instance", [c[:2] for c in DISCONNECTED_CASES],
+                         ids=[f"{sid}-{name}" for sid, _, name in DISCONNECTED_CASES])
+def test_disconnected_arguments_are_a_precondition(sid, instance):
+    # a disconnected argument ends in this verdict: no statement may raise on
+    # it or report a fails verdict (S19 on (B?, B?) has lhs != rhs)
+    [v] = check_statement(sid, instance)
+    assert (v.outcome, v.note) == ("precondition-not-met", "requires connected graphs")
+    assert v.lhs is None and v.rhs is None
