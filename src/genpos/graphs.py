@@ -51,17 +51,32 @@ class Graph:
             raise ValueError("graph order must be at least 1")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match order")
-        for i, row in enumerate(self.adj):
+        adj = self.adj
+        arcs = upper = 0
+        symmetric = True
+        for i, row in enumerate(adj):
             if row >> self.n:
                 raise ValueError(
                     f"adjacency row {i} references vertices outside 0..{self.n - 1}"
                 )
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in iter_bits(self.adj[i]):
-                if not self.adj[j] >> i & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+            above = row >> i + 1 << i + 1
+            arcs += row.bit_count()
+            upper += above.bit_count()
+            while above:
+                low = above & -above
+                if not adj[low.bit_length() - 1] >> i & 1:
+                    symmetric = False
+                above ^= low
+        # Each arc above the diagonal has its reverse, so twice as many arcs
+        # in all leaves none without one.  On a failure the row-major scan
+        # names the first asymmetric pair.
+        if not symmetric or arcs != 2 * upper:
+            for i, row in enumerate(adj):
+                for j in iter_bits(row):
+                    if not adj[j] >> i & 1:
+                        raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -98,29 +113,37 @@ class DistanceMatrix:
 
     ``dist[u][v]`` is an int hop count or ``INF`` across components.
     ``layers[s][d]`` is the mask of vertices at distance d from s, ending with
-    one empty mask, so ``layers[s][1]`` is N(s).  The lazily built tables are
-    each read off the layers in one pass.  ``blockers[u][v]`` is the mask of
-    the w with w != u, w != v and d(u,w) + d(w,v) = d(u,v) = d, i.e. the strict
-    interiors of the u,v-geodesics: the OR over 0 < k < d of
-    ``layers[u][k] & layers[v][d - k]``.  ``mmd[u]`` is the mask of the v
-    mutually maximally distant from u (no neighbour of u is farther from v
-    than u is, and vice versa): neither ``layers[u][1] & layers[v][d + 1]``
-    nor its mirror has a vertex.  ``shadow[u][v]`` is the mask of the w for
-    which v lies strictly inside a u,w-geodesic, i.e. d(u,w) = d(u,v) +
-    d(v,w) with v != u, w: the OR over k >= 1 of ``layers[u][d + k] &
-    layers[v][k]`` with d = d(u,v), so w is in ``shadow[u][v]`` exactly when
-    v is in ``blockers[u][w]``.  ``diameter`` is INF exactly when the graph
-    is disconnected (``connected`` is False).
+    one empty mask, so ``layers[s][1]`` is N(s).  ``rowunion[u]`` is the mask
+    of the w != u that lie strictly inside some u,v-geodesic, recorded by the
+    BFS from u as the vertices of each ring with a neighbour one ring further
+    out.  That is exact: if w is strictly inside a u,v-geodesic, its successor
+    x on that geodesic is a neighbour with d(u,x) = d(u,w) + 1; conversely, if
+    a neighbour x of w has d(u,x) = d(u,w) + 1, a shortest u,w-path followed
+    by the edge wx is a u,x-geodesic with w strictly inside.  The lazily built
+    tables are each read off the layers in one pass.  ``blockers[u][v]`` is
+    the mask of the w with w != u, w != v and d(u,w) + d(w,v) = d(u,v) = d,
+    i.e. the strict interiors of the u,v-geodesics: the OR over 0 < k < d of
+    ``layers[u][k] & layers[v][d - k]``, so ``rowunion[u]`` is the OR of
+    ``blockers[u]``.  ``mmd[u]`` is the mask of the v mutually maximally
+    distant from u (no neighbour of u is farther from v than u is, and vice
+    versa): neither ``layers[u][1] & layers[v][d + 1]`` nor its mirror has a
+    vertex.  ``shadow[u][v]`` is the mask of the w for which v lies strictly
+    inside a u,w-geodesic, i.e. d(u,w) = d(u,v) + d(v,w) with v != u, w: the
+    OR over k >= 1 of ``layers[u][d + k] & layers[v][k]`` with d = d(u,v),
+    so w is in ``shadow[u][v]`` exactly when v is in ``blockers[u][w]``.
+    ``diameter`` is INF exactly when the graph is disconnected
+    (``connected`` is False).
     """
 
-    def __init__(self, dist: list[list[float]], layers: list[list[int]]):
+    def __init__(self, dist: list[list[float]], layers: list[list[int]],
+                 rowunion: list[int]):
         self.dist = dist
         self.layers = layers
+        self.rowunion = rowunion
         self.n = len(dist)
         self.diameter = max(max(row) for row in dist)
         self.connected = self.diameter != INF
         self._blockers: list[list[int]] | None = None
-        self._rowunion: list[int] | None = None
         self._mmd: list[int] | None = None
         self._shadow: list[list[int]] | None = None
 
@@ -168,13 +191,6 @@ class DistanceMatrix:
             self._shadow = table
         return self._shadow
 
-    @property
-    def rowunion(self) -> list[int]:
-        """rowunion[u] = union of blocker masks over all pairs (u, v)."""
-        if self._rowunion is None:
-            self._rowunion = [functools.reduce(operator.or_, row) for row in self.blockers]
-        return self._rowunion
-
     def all_blockers_union(self) -> int:
         return functools.reduce(operator.or_, self.rowunion)
 
@@ -199,29 +215,35 @@ class DistanceMatrix:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; INF across components.  Keeps each BFS frontier
-    as ``layers[s][d]``."""
+    as ``layers[s][d]``, and as ``rowunion[s]`` the vertices of rings 1 and up
+    with a neighbour in the next ring."""
     n = g.n
     adj = g.adj
     dist: list[list[float]] = []
     layers: list[list[int]] = []
+    rowunion: list[int] = []
     for s in range(n):
         row: list[float] = [INF] * n
         seen = 1 << s
         frontier = 1 << s
         rings = [frontier]
+        inner = 0
         d = 0
         while frontier:
             nxt = 0
             for v in iter_bits(frontier):
                 row[v] = d
                 nxt |= adj[v]
+            if d >= 2:
+                inner |= rings[d - 1] & nxt
             frontier = nxt & ~seen
             seen |= frontier
             rings.append(frontier)
             d += 1
         dist.append(row)
         layers.append(rings)
-    return DistanceMatrix(dist, layers)
+        rowunion.append(inner)
+    return DistanceMatrix(dist, layers, rowunion)
 
 
 # How many recent results each group_memo keeps.  On a serial exhaustive:5
@@ -353,6 +375,7 @@ def is_clique_mask(g: Graph, mask: int) -> bool:
     return True
 
 
+@group_memo
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if is_clique_mask(g, g.adj[v]))
 

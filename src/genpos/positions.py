@@ -6,12 +6,14 @@ set-equality phrasing of positionability cannot hold when an endpoint is
 outside X, while the outer/dual notions quantify over exactly such pairs;
 the interior reading makes all four notions coherent and is used throughout.
 
-Two engines are provided for the maxima: definition-level branch-and-bound
-oracles working directly on geodesic blocker masks, and characterization
-engines (simplicial count, clique number of the strong resolving graph,
-convex-complement search).  They must agree: ``invariant`` recomputes gp_t,
-gp_o and gp_d with the other engine up to the orders in ``CROSS_CHECK_CAPS``
-and raises on a disagreement.
+Two engines are provided for the maxima: definition-level oracles, and
+characterization engines (simplicial count, clique number of the strong
+resolving graph, convex-complement search).  They must agree: ``invariant``
+recomputes gp_t, gp_o and gp_d with the other engine up to the orders in
+``CROSS_CHECK_CAPS`` and raises on a disagreement.  The total and outer
+oracles read only the geodesic interiors that the BFS records per source
+(``DistanceMatrix.rowunion``); the gp and dual oracles read the pairwise
+blocker masks.
 
 One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
 the convex-complement search for gp_d.  It carries the mask of the vertices
@@ -285,7 +287,8 @@ def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 
 def max_outer_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Largest outer set: independent-set search on the pairwise conflicts
-    induced by the blocker masks (heredity makes subset pruning sound)."""
+    induced by the geodesic interiors ``rowunion`` (heredity makes subset
+    pruning sound)."""
     n = dm.n
     rowunion = dm.rowunion
     conf = list(rowunion)

@@ -6,10 +6,11 @@ block-graph structure, size caps) and returns a verdict: holds, fails, or
 precondition-not-met.  A checker is registered once, by ``@statement``,
 which names its instance and turns a failed ``_need`` (or ``_product`` above
 its cap) into the precondition-not-met verdict; the checker itself keeps
-only the mathematics.  Instance names and products are memoized per group
-(``graphs.group_memo``); the cap check stays outside the memo.  The suite's
-central property is zero fails: the statements are proved facts, so a
-failing verdict flags an implementation bug.  The one documented exception
+only the mathematics.  Instance names, products and strong resolving
+graphs are memoized per group (``graphs.group_memo``); the cap check stays
+outside the memo.  The suite's central property is zero fails: the
+statements are proved facts, so a failing verdict flags an implementation
+bug.  The one documented exception
 is S17 on ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the
 value is 1; see ``check_s17``), so a full run reports exactly that one fail.
 gp_t, gp_o and gp_d values feeding a verdict come from
@@ -208,6 +209,13 @@ def _built(build, g: Graph, h: Graph):
     return build(g, h)
 
 
+@group_memo
+def _srs(g: Graph) -> Graph:
+    """``resolving.strong_resolving_graph(g)``, built once per group for all
+    of its checkers."""
+    return resolving.strong_resolving_graph(g)
+
+
 def _product(build, g: Graph, h: Graph, cap: int):
     """build(g, h); a precondition that the product order is at most cap."""
     _need(g.n * h.n <= cap, f"product order above cap {cap}")
@@ -283,7 +291,7 @@ def check_s1(verdict, g: Graph) -> Verdict:
 @statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
 def check_s2(verdict, g: Graph) -> Verdict:
     lhs, _ = positions.max_outer_oracle(distances(g))
-    rhs, _ = cliques.max_clique(resolving.strong_resolving_graph(g))
+    rhs, _ = cliques.max_clique(_srs(g))
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
@@ -305,7 +313,7 @@ def check_s3(verdict, g: Graph) -> Verdict:
 
 @statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o")
 def check_s4(verdict, g: Graph) -> Verdict:
-    pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+    pruned, _ = resolving.prune_isolated(_srs(g))
     _need(pruned is not None, "empty boundary (K1): pruned SR graph is empty")
     lhs = positions.invariant("gp_o", g)[0]
     rhs, _ = cliques.max_clique(pruned)
@@ -395,12 +403,12 @@ def check_s21(verdict, g: Graph) -> Verdict:
     checks: dict[str, tuple] = {}
     notes = []
     if _no_universal(g):
-        pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(_cone(g)))
+        pruned, _ = resolving.prune_isolated(_srs(_cone(g)))
         assert pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
         pruned_g2, _ = resolving.prune_isolated(g2)
-        pruned_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+        pruned_sr, _ = resolving.prune_isolated(_srs(g))
         if pruned_g2 is None or pruned_sr is None:
             notes.append("ii: pruned graph empty")
         else:
@@ -568,11 +576,11 @@ def check_s20(verdict, g: Graph, h: Graph) -> Verdict:
 def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
     _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
     pg = _product(lexicographic_product, g, h, CAP_S22)
-    lhs_graph, _ = resolving.prune_isolated(resolving.strong_resolving_graph(pg.graph))
+    lhs_graph, _ = resolving.prune_isolated(_srs(pg.graph))
     assert lhs_graph is not None
     omega_lhs = cliques.max_clique(lhs_graph)[0]
 
-    g_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+    g_sr, _ = resolving.prune_isolated(_srs(g))
     assert g_sr is not None
     b_g = g_sr.n
 

@@ -1,6 +1,8 @@
 """Core graph structure: construction, distances, blockers, recognizers."""
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,8 @@ def test_construction_rejects_bad_adjacency():
         Graph(2, (0b01, 0b00))  # self loop
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
+    with pytest.raises(ValueError, match=r"adjacency not symmetric at \(1,0\)"):
+        Graph(4, (0, 0b0001, 0b1000, 0))  # the first asymmetric arc in row order
     with pytest.raises(ValueError, match="outside 0..1"):
         Graph(2, (0b100, 0b00))  # names vertex n
     with pytest.raises(ValueError, match="outside 0..1"):
@@ -111,6 +115,38 @@ def test_blockers_unions():
     dm = all_pairs_distances(path(3))
     assert dm.rowunion[0] == to_mask([1])
     assert dm.all_blockers_union() == to_mask([1])
+    k1 = all_pairs_distances(Graph(1, (0,)))
+    assert k1.rowunion == [0] and k1.all_blockers_union() == 0
+    split = all_pairs_distances(disjoint_union([path(3), path(2)]))
+    assert split.rowunion == [to_mask([1]), 0, to_mask([1]), 0, 0]
+    assert split.all_blockers_union() == to_mask([1])
+
+
+def test_rowunion_is_the_union_of_blocker_rows_exhaustive():
+    # every labeled graph with n <= 6, connected or not
+    for n in range(1, 7):
+        for bits in range(1 << n * (n - 1) // 2):
+            dm = all_pairs_distances(random_graph(n, bits))
+            assert dm.rowunion == [functools.reduce(operator.or_, row)
+                                   for row in dm.blockers], (n, bits)
+
+
+def assert_rowunion_matches_definition(g):
+    # w is in rowunion[u] exactly when w lies strictly inside a u,v-geodesic
+    dm = all_pairs_distances(g)
+    d = dm.dist
+    for u in range(g.n):
+        assert dm.rowunion[u] == to_mask(
+            w for w in range(g.n) if w != u and any(
+                v not in (u, w) and d[u][v] != math.inf and d[u][w] + d[w][v] == d[u][v]
+                for v in range(g.n)))
+
+
+@given(n=st.integers(1, 10), bits=st.integers(0))
+@settings(max_examples=80, deadline=None)
+def test_rowunion_against_definition(n, bits):
+    # no spanning path is grafted: disconnected graphs are drawn too
+    assert_rowunion_matches_definition(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
 
 
 def assert_blockers_match_definition(g):
@@ -141,6 +177,11 @@ LONG_LAYERS = pytest.mark.parametrize(
 @LONG_LAYERS
 def test_blockers_against_definition_on_long_layers(g):
     assert_blockers_match_definition(g)
+
+
+@LONG_LAYERS
+def test_rowunion_against_definition_on_long_layers(g):
+    assert_rowunion_matches_definition(g)
 
 
 def assert_shadow_is_blocker_transpose(g):

@@ -227,6 +227,41 @@ def test_one_graph_corpus_builds_its_distances_once(built):
     assert built == [cycle(5)]
 
 
+def test_one_graph_corpus_builds_its_strong_resolving_graphs_once(monkeypatch):
+    # S2, S21 and S22 read the strong resolving graph through one per-group
+    # memo, as the simplicial vertices are read through another.
+    seen = []
+    original = resolving.strong_resolving_graph
+
+    def counting(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(resolving, "strong_resolving_graph", counting)
+    c5 = cycle(5)
+    verdicts, _ = run_suite(parse_corpus("family:cycle:5"), ["S2", "S21", "S22", "S9", "S19"])
+    assert [v.outcome for v in verdicts] == ["holds"] * 5
+    cone = statements._cone(c5)
+    assert seen == [c5, cone, lexicographic_product(c5, c5).graph]
+    # S9 and S19 scan C5 for simplicial vertices once between them, and each
+    # of their two products once.
+    assert graphs.simplicial_vertices.cache_info().misses == 3
+
+
+def test_total_and_outer_statements_never_build_a_product_blocker_table():
+    # gp_t and gp_o read the row unions that the BFS records, so the
+    # statements on them leave each product's blocker table unbuilt.
+    g, h = cycle(6), path(6)
+    products = [strong_product(g, h).graph, lexicographic_product(g, h).graph]
+    tables = [distances(p) for p in products]
+    for sid in ("S9", "S10", "S11", "S12", "S13", "S19", "S20"):
+        [v] = check_statement(sid, (g, h))
+        assert v.outcome != "fails", (sid, v)
+    for p, dm in zip(products, tables):
+        assert distances(p) is dm
+        assert dm._blockers is None
+
+
 def test_run_suite_calls_run_instance_once_per_task(monkeypatch):
     # The benchmark times each statement x instance by wrapping _run_instance,
     # so it must stay the task unit inside each group.
@@ -294,7 +329,9 @@ def test_each_group_starts_with_every_memo_empty(monkeypatch):
 
     monkeypatch.setattr(statements, "_run_group", recording_group)
     monkeypatch.setattr(statements, "_run_instance", recording_instance)
-    check_statement("S10", (cycle(5), path(3)))  # warm every memo before the run
+    # warm every memo before the run
+    check_statement("S10", (cycle(5), path(3)))
+    check_statement("S2", cycle(5))
     assert all(m.cache_info().currsize for m in memos)
     run_suite(parse_corpus("family:cycle:5,path:3"))
     assert len(firsts) == 3  # the fixed statements, then one group per graph
