@@ -391,7 +391,7 @@ def gp_outer(g: Graph, engine: str = "characterization") -> tuple[int, frozenset
     dm = require_connected(g, "gp_outer")
     if engine == "oracle":
         return max_outer_oracle(dm)
-    return cliques.max_clique(resolving.strong_resolving_graph(g))
+    return cliques.max_clique(resolving.srs(g))
 
 
 def gp_dual(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:

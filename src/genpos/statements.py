@@ -1,18 +1,20 @@
 """Executable catalog of the numbered statements, corpus handling, verdicts.
 
-Every statement id S1..S27 maps to a checker that mechanically tests its
-hypotheses (connectivity, order, twin-freeness, diameter, completeness,
-block-graph structure, size caps) and returns a verdict: holds, fails, or
-precondition-not-met.  A checker is registered once, by ``@statement``,
-which names its instance and turns a failed ``_need`` (or ``_product`` above
-its cap) into the precondition-not-met verdict; the checker itself keeps
-only the mathematics.  Instance names, products and strong resolving
-graphs are memoized per group (``graphs.group_memo``); the cap check stays
-outside the memo.  The suite's central property is zero fails: the
-statements are proved facts, so a failing verdict flags an implementation
-bug.  The one documented exception
-is S17 on ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the
-value is 1; see ``check_s17``), so a full run reports exactly that one fail.
+Every statement id S1..S27 maps to a checker that returns a verdict: holds,
+fails, or precondition-not-met.  A checker is registered once, by
+``@statement``, which also decides where the statement applies: it tests
+connectivity, then the hypotheses the statement names (module-level
+``(note, test)`` constants such as ``FACTORS_2``: order, twin-freeness,
+diameter, completeness, block-graph structure), then its product's order
+cap, and answers precondition-not-met with the first unmet note; otherwise
+it builds the product and hands it to the checker.  The checker itself keeps
+only the mathematics and its clause logic.  Instance names, products and
+strong resolving graphs are memoized per group (``graphs.group_memo``); the
+cap check stays outside the memo.  The suite's central property is zero
+fails: the statements are proved facts, so a failing verdict flags an
+implementation bug.  The one documented exception is S17 on
+``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the value is
+1; see ``check_s17``), so a full run reports exactly that one fail.
 gp_t, gp_o and gp_d values feeding a verdict come from
 ``positions.invariant``, which cross-checks the two engines up to the orders
 in ``positions.CROSS_CHECK_CAPS``.
@@ -46,24 +48,17 @@ from .graphs import (
     true_twin_pairs,
     universal_vertices,
 )
-from .products import lexicographic_product, strong_product
+from .products import ProductGraph, lexicographic_product, strong_product
 
 ENUMERATION_MAX_ORDER = 6
 ISO_MAX_ORDER = 12
 
-# Instance caps: per-statement product-order limits keeping exact searches
-# tractable inside corpus sweeps.  Oversized instances report
-# precondition-not-met rather than stalling the suite.
-CAP_S5 = 16
-CAP_S11 = 256
-CAP_S12 = 256
-CAP_S16 = 16
-CAP_S18 = 24
-CAP_S22 = 36
-CAP_LEX_OUTER = 36
+# Per-clause product-order caps of S27; every other statement names its cap
+# in its ``@statement`` line.  The caps keep exact searches tractable inside
+# corpus sweeps: oversized instances report precondition-not-met rather than
+# stalling the suite.
 CAP_S27_ZERO = 25
 CAP_S27_COMPLETE = 24
-CAP_S15 = 36
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +104,30 @@ class Statement:
 STATEMENTS: dict[str, Statement] = {}
 
 
-class _Unmet(Exception):
-    """A failed precondition; its message is the verdict's note."""
-
-
-def _need(ok: bool, note: str) -> None:
-    """End the checker with a precondition-not-met verdict unless ok."""
-    if not ok:
-        raise _Unmet(note)
-
-
-def statement(sid: str, arity: str, description: str):
+def statement(sid: str, arity: str, description: str, *requires,
+              strong: int = 0, lex: int = 0):
     """Register the decorated checker in STATEMENTS as statement sid.
 
-    A graph or pair checker ``fn(verdict, g[, h])`` receives a Verdict
+    A graph or pair checker ``fn(verdict, g[, h][, pg])`` receives a Verdict
     factory bound to sid and the instance name, the graph6 of each argument
-    joined by commas; a failed ``_need`` inside it becomes the
-    precondition-not-met verdict with that note.  It runs only on connected
-    arguments, the graphs the statements are about; a disconnected one (a
-    ``file:`` corpus may hold it) gets precondition-not-met with the note
-    "requires connected graphs".  A fixed checker ``fn(verdict)`` names its
-    own instances, so its factory is bound to sid only.  The decorated name
-    is the registered checker: ``check_sN(g[, h])`` returns one Verdict, a
+    joined by commas.  The wrapper alone decides where the statement
+    applies.  It answers precondition-not-met with the note of the first
+    unmet one of, in order: ``CONNECTED`` (a ``file:`` corpus may hold a
+    disconnected graph), each hypothesis of ``requires``, and, with
+    ``strong=cap`` or ``lex=cap``, "product order above cap N".  Otherwise
+    it builds that product of (g, h), or of (g, g) for a graph statement,
+    through the per-group ``_built`` memo, and passes it as ``pg``.  The
+    builder is looked up at call time, so patching ``strong_product`` here
+    reaches the checkers.  A fixed checker ``fn(verdict)`` names its own
+    instances, so its factory is bound to sid only.  The decorated name is
+    the registered checker: ``check_sN(g[, h])`` returns one Verdict, a
     fixed ``check_sN()`` a list of them.
     """
+    build, cap = ("strong_product", strong) if strong else ("lexicographic_product", lex)
+    checks = [CONNECTED, *requires]
+    if cap:
+        checks.append((f"product order above cap {cap}",
+                       lambda *graphs: graphs[0].n * graphs[-1].n <= cap))
 
     def register(fn):
         if arity == "fixed":
@@ -141,12 +136,12 @@ def statement(sid: str, arity: str, description: str):
         else:
             def checker(*graphs):
                 verdict = partial(Verdict, sid, ",".join(_graph6(g) for g in graphs))
-                try:
-                    _need(all(distances(g).connected for g in graphs),
-                          "requires connected graphs")
-                    return fn(verdict, *graphs)
-                except _Unmet as unmet:
-                    return verdict("precondition-not-met", note=str(unmet))
+                for note, test in checks:
+                    if not test(*graphs):
+                        return verdict("precondition-not-met", note=note)
+                if cap:
+                    graphs += (_built(globals()[build], graphs[0], graphs[-1]),)
+                return fn(verdict, *graphs)
         checker = wraps(fn)(checker)
         STATEMENTS[sid] = Statement(sid, arity, description, checker)
         return checker
@@ -155,7 +150,11 @@ def statement(sid: str, arity: str, description: str):
 
 
 def _equalities(verdict, checks: dict[str, tuple], note: str = "") -> Verdict:
-    """Verdict from named lhs==rhs checks; any mismatch is a fail."""
+    """Verdict from named lhs==rhs checks; any mismatch is a fail.  Without
+    checks no clause applied: precondition-not-met with the note, or with
+    "no clause applicable" when the note is empty."""
+    if not checks:
+        return verdict("precondition-not-met", note=note or "no clause applicable")
     bad = {k: [l, r] for k, (l, r) in checks.items() if l != r}
     lhs = {k: v[0] for k, v in checks.items()}
     rhs = {k: v[1] for k, v in checks.items()}
@@ -209,19 +208,6 @@ def _built(build, g: Graph, h: Graph):
     return build(g, h)
 
 
-@group_memo
-def _srs(g: Graph) -> Graph:
-    """``resolving.strong_resolving_graph(g)``, built once per group for all
-    of its checkers."""
-    return resolving.strong_resolving_graph(g)
-
-
-def _product(build, g: Graph, h: Graph, cap: int):
-    """build(g, h); a precondition that the product order is at most cap."""
-    _need(g.n * h.n <= cap, f"product order above cap {cap}")
-    return _built(build, g, h)
-
-
 def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
     """gp_o(G) gp_o(H), gp_o of their strong product, and b(G) b(H)."""
     lower = positions.invariant("gp_o", g)[0] * positions.invariant("gp_o", h)[0]
@@ -235,6 +221,35 @@ def _outer_cone_form(h: Graph) -> tuple[str, int]:
     if distances(h).diameter == 2:
         return "diam2", positions.invariant("gp_o", h)[0]
     return "diam_gt_2", positions.invariant("gp_o", _cone(h))[0]
+
+
+# ---------------------------------------------------------------------------
+# hypotheses: (note, test) with test(g) for a graph statement and test(g, h)
+# for a pair statement; the note names what an instance that fails it lacks.
+CONNECTED = ("requires connected graphs",
+             lambda *graphs: all(distances(g).connected for g in graphs))
+SUBSET_SWEEP = (f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}",
+                lambda g: g.n <= ENUMERATION_MAX_ORDER)
+# a connected graph has an MMD pair, hence a non-empty pruned SRS, iff n >= 2
+NOT_K1 = ("empty boundary (K1): pruned SR graph is empty", lambda g: g.n >= 2)
+ORDER_2 = ("requires order >= 2", lambda g: g.n >= 2)
+TWIN_FREE = ("requires a twin-free graph", _twin_free)
+DIAM_2 = ("requires diameter 2", lambda g: distances(g).diameter == 2)
+DIAM_AT_LEAST_2 = ("requires diameter >= 2", lambda g: distances(g).diameter >= 2)
+FACTORS_2 = ("requires both factors of order >= 2", lambda g, h: g.n >= 2 and h.n >= 2)
+BLOCK_GRAPHS = ("requires two block graphs",
+                lambda g, h: is_block_graph(g) and is_block_graph(h))
+G_ORDER_2 = ("first factor must have order >= 2", lambda g, h: g.n >= 2)
+G_COMPLETE = ("first factor must be complete", lambda g, h: is_complete(g))
+G_COMPLETE_2 = ("first factor must be complete of order >= 2",
+                lambda g, h: g.n >= 2 and is_complete(g))
+G_NON_COMPLETE = ("first factor must be non-complete", lambda g, h: not is_complete(g))
+G_TWIN_FREE = ("first factor must be twin-free", lambda g, h: _twin_free(g))
+H_COMPLETE_2 = ("second factor must be complete of order >= 2",
+                lambda g, h: h.n >= 2 and is_complete(h))
+H_NON_COMPLETE = ("second factor must be non-complete", lambda g, h: not is_complete(h))
+H_NO_UNIVERSAL = ("second factor must have no universal vertex",
+                  lambda g, h: h.n >= 2 and _no_universal(h))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +306,13 @@ def check_s1(verdict, g: Graph) -> Verdict:
 @statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
 def check_s2(verdict, g: Graph) -> Verdict:
     lhs, _ = positions.max_outer_oracle(distances(g))
-    rhs, _ = cliques.max_clique(_srs(g))
+    rhs, _ = cliques.max_clique(resolving.srs(g))
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-@statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)")
+@statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)",
+           SUBSET_SWEEP)
 def check_s3(verdict, g: Graph) -> Verdict:
-    _need(g.n <= ENUMERATION_MAX_ORDER, f"subset sweep capped at n <= {ENUMERATION_MAX_ORDER}")
     dm = distances(g)
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
@@ -311,18 +326,18 @@ def check_s3(verdict, g: Graph) -> Verdict:
     return verdict("holds", lhs=full + 1, rhs=full + 1, note="subsets checked")
 
 
-@statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o")
+@statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o",
+           NOT_K1)
 def check_s4(verdict, g: Graph) -> Verdict:
-    pruned, _ = resolving.prune_isolated(_srs(g))
-    _need(pruned is not None, "empty boundary (K1): pruned SR graph is empty")
+    pruned, _ = resolving.prune_isolated(resolving.srs(g))
     lhs = positions.invariant("gp_o", g)[0]
     rhs, _ = cliques.max_clique(pruned)
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-@statement("S6", "graph", "diameter-2 graphs: gp_o equals the independence number after removing twin edges")
+@statement("S6", "graph", "diameter-2 graphs: gp_o equals the independence number after removing twin edges",
+           DIAM_2)
 def check_s6(verdict, g: Graph) -> Verdict:
-    _need(distances(g).diameter == 2, "requires diameter 2")
     lhs = positions.invariant("gp_o", g)[0]
     gtt = remove_true_twin_edges(g)
     checks = {"alpha_form": (lhs, cliques.independence_number(gtt)[0])}
@@ -333,12 +348,10 @@ def check_s6(verdict, g: Graph) -> Verdict:
     return _equalities(verdict, checks, note=note)
 
 
-@statement("S7", "graph", "gp_o is at least the (diam-1)-independence number")
+@statement("S7", "graph", "gp_o is at least the (diam-1)-independence number", DIAM_AT_LEAST_2)
 def check_s7(verdict, g: Graph) -> Verdict:
-    k = distances(g).diameter
-    _need(k >= 2, "requires diameter >= 2")
     lhs = positions.invariant("gp_o", g)[0]
-    rhs = cliques.alpha_k(g, k - 1)[0]
+    rhs = cliques.alpha_k(g, distances(g).diameter - 1)[0]
     return _holds_if(verdict, lhs >= rhs, lhs, rhs)
 
 
@@ -357,13 +370,11 @@ def check_s8(verdict) -> list[Verdict]:
     return out
 
 
-@statement("S15", "graph", "twin-free diameter-2 graphs: gp_o of the strong square equals its independence number")
-def check_s15(verdict, g: Graph) -> Verdict:
-    _need(_twin_free(g), "requires a twin-free graph")
-    _need(distances(g).diameter == 2, "requires diameter 2")
-    sq = _product(strong_product, g, g, CAP_S15).graph
-    lhs = positions.invariant("gp_o", sq)[0]
-    rhs = cliques.independence_number(sq)[0]
+@statement("S15", "graph", "twin-free diameter-2 graphs: gp_o of the strong square equals its independence number",
+           TWIN_FREE, DIAM_2, strong=36)
+def check_s15(verdict, g: Graph, pg: ProductGraph) -> Verdict:
+    lhs = positions.invariant("gp_o", pg.graph)[0]
+    rhs = cliques.independence_number(pg.graph)[0]
     return _equalities(verdict, {"gp_o_square_vs_alpha": (lhs, rhs)})
 
 
@@ -395,20 +406,19 @@ def check_s17(verdict) -> list[Verdict]:
     return out
 
 
-@statement("S21", "graph", "clique identities for the distance>=2-or-twins graph")
+@statement("S21", "graph", "clique identities for the distance>=2-or-twins graph", ORDER_2)
 def check_s21(verdict, g: Graph) -> Verdict:
-    _need(g.n >= 2, "requires order >= 2")
     g2 = resolving.g2bar(g)
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
     notes = []
     if _no_universal(g):
-        pruned, _ = resolving.prune_isolated(_srs(_cone(g)))
+        pruned, _ = resolving.prune_isolated(resolving.srs(_cone(g)))
         assert pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
         pruned_g2, _ = resolving.prune_isolated(g2)
-        pruned_sr, _ = resolving.prune_isolated(_srs(g))
+        pruned_sr, _ = resolving.prune_isolated(resolving.srs(g))
         if pruned_g2 is None or pruned_sr is None:
             notes.append("ii: pruned graph empty")
         else:
@@ -418,7 +428,6 @@ def check_s21(verdict, g: Graph) -> Verdict:
             )
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
-    _need(bool(checks), "no clause applicable")
     return _equalities(verdict, checks, note="; ".join(notes))
 
 
@@ -426,9 +435,8 @@ def check_s21(verdict, g: Graph) -> Verdict:
 # statement checkers (graph pairs, strong product)
 
 
-@statement("S5", "pair", "restriction to an isometric layer preserves all four properties")
-def check_s5(verdict, g: Graph, h: Graph) -> Verdict:
-    pg = _product(strong_product, g, h, CAP_S5)
+@statement("S5", "pair", "restriction to an isometric layer preserves all four properties", strong=16)
+def check_s5(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     dm = distances(pg.graph)
     sets = {
         "gp": positions.max_gp_oracle(dm)[1],
@@ -460,9 +468,8 @@ def check_s5(verdict, g: Graph, h: Graph) -> Verdict:
     return verdict("holds", lhs=checked, rhs=checked, note="property-layer checks")
 
 
-@statement("S9", "pair", "simplicial vertices of a strong product are the simplicial pairs")
-def check_s9(verdict, g: Graph, h: Graph) -> Verdict:
-    pg = _product(strong_product, g, h, CAP_S11)
+@statement("S9", "pair", "simplicial vertices of a strong product are the simplicial pairs", strong=256)
+def check_s9(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = sorted(simplicial_vertices(pg.graph))
     rhs = sorted(
         pg.encode(a, b)
@@ -472,17 +479,16 @@ def check_s9(verdict, g: Graph, h: Graph) -> Verdict:
     return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-@statement("S10", "pair", "gp_t of a strong product is the product of simplicial counts")
-def check_s10(verdict, g: Graph, h: Graph) -> Verdict:
-    pg = _product(strong_product, g, h, CAP_S11)
+@statement("S10", "pair", "gp_t of a strong product is the product of simplicial counts", strong=256)
+def check_s10(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * len(simplicial_vertices(h))
     return _equalities(verdict, {"gp_t": (lhs, rhs)})
 
 
-@statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products")
-def check_s11(verdict, g: Graph, h: Graph) -> Verdict:
-    pg = _product(strong_product, g, h, CAP_S11)
+@statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products",
+           strong=256)
+def check_s11(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     by_cases = resolving.strong_product_mmd(g, h)
     direct = distances(pg.graph).mmd
     for x, (want, got) in enumerate(zip(by_cases, direct)):
@@ -496,18 +502,15 @@ def check_s11(verdict, g: Graph, h: Graph) -> Verdict:
     return verdict("holds", lhs=pairs, rhs=pairs, note="product vertex pairs checked")
 
 
-@statement("S12", "pair", "outer bounds for strong products: gp_o(G)gp_o(H) <= gp_o <= b(G)b(H)")
-def check_s12(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    pg = _product(strong_product, g, h, CAP_S12)
+@statement("S12", "pair", "outer bounds for strong products: gp_o(G)gp_o(H) <= gp_o <= b(G)b(H)",
+           FACTORS_2, strong=256)
+def check_s12(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     return _bounds(verdict, *_outer_bounds(g, h, pg.graph))
 
 
-@statement("S13", "pair", "block-graph factors collapse the outer bounds to equality")
-def check_s13(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    _need(is_block_graph(g) and is_block_graph(h), "requires two block graphs")
-    pg = _product(strong_product, g, h, CAP_S12)
+@statement("S13", "pair", "block-graph factors collapse the outer bounds to equality",
+           FACTORS_2, BLOCK_GRAPHS, strong=256)
+def check_s13(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lower, mid, upper = _outer_bounds(g, h, pg.graph)
     return _equalities(verdict, {"lower_vs_mid": (lower, mid), "mid_vs_upper": (mid, upper)})
 
@@ -524,9 +527,8 @@ def check_s14(verdict) -> list[Verdict]:
     })]
 
 
-@statement("S16", "pair", "dual bounds for strong products (three-term upper bound)")
-def check_s16(verdict, g: Graph, h: Graph) -> Verdict:
-    pg = _product(strong_product, g, h, CAP_S16)
+@statement("S16", "pair", "dual bounds for strong products (three-term upper bound)", strong=16)
+def check_s16(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     mid = positions.invariant("gp_d", pg.graph, engine="oracle")[0]
     sg = len(simplicial_vertices(g))
     sh = len(simplicial_vertices(h))
@@ -538,10 +540,9 @@ def check_s16(verdict, g: Graph, h: Graph) -> Verdict:
     return _bounds(verdict, sg * sh, mid, min(terms), note=f"upper_terms={terms}")
 
 
-@statement("S18", "pair", "gp_d of a complete-by-H strong product is n times gp_d(H)")
-def check_s18(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(is_complete(g), "first factor must be complete")
-    pg = _product(strong_product, g, h, CAP_S18)
+@statement("S18", "pair", "gp_d of a complete-by-H strong product is n times gp_d(H)",
+           G_COMPLETE, strong=24)
+def check_s18(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_d", pg.graph)[0]
     rhs = g.n * positions.invariant("gp_d", h)[0]
     return _equalities(verdict, {"gp_d": (lhs, rhs)})
@@ -551,10 +552,9 @@ def check_s18(verdict, g: Graph, h: Graph) -> Verdict:
 # statement checkers (graph pairs, lexicographic product)
 
 
-@statement("S19", "pair", "simplicial vertices of a lexicographic product (complete vs non-complete H)")
-def check_s19(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    pg = _product(lexicographic_product, g, h, CAP_S11)
+@statement("S19", "pair", "simplicial vertices of a lexicographic product (complete vs non-complete H)",
+           FACTORS_2, lex=256)
+def check_s19(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = sorted(simplicial_vertices(pg.graph))
     if is_complete(h):
         rhs = sorted(pg.encode(a, b) for a in simplicial_vertices(g) for b in range(h.n))
@@ -563,24 +563,22 @@ def check_s19(verdict, g: Graph, h: Graph) -> Verdict:
     return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-@statement("S20", "pair", "gp_t of a lexicographic product (complete vs non-complete H)")
-def check_s20(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    pg = _product(lexicographic_product, g, h, CAP_S11)
+@statement("S20", "pair", "gp_t of a lexicographic product (complete vs non-complete H)",
+           FACTORS_2, lex=256)
+def check_s20(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_t", pg.graph)[0]
     rhs = len(simplicial_vertices(g)) * h.n if is_complete(h) else 0
     return _equalities(verdict, {"gp_t": (lhs, rhs)})
 
 
-@statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product")
-def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    pg = _product(lexicographic_product, g, h, CAP_S22)
-    lhs_graph, _ = resolving.prune_isolated(_srs(pg.graph))
+@statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product",
+           FACTORS_2, lex=36)
+def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
+    lhs_graph, _ = resolving.prune_isolated(resolving.srs(pg.graph))
     assert lhs_graph is not None
     omega_lhs = cliques.max_clique(lhs_graph)[0]
 
-    g_sr, _ = resolving.prune_isolated(_srs(g))
+    g_sr, _ = resolving.prune_isolated(resolving.srs(g))
     assert g_sr is not None
     b_g = g_sr.n
 
@@ -598,7 +596,6 @@ def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
     if not is_complete(g) and _no_universal(h):
         srs, _ = resolving.tf_boundary_and_srs(g)
         rhs["iv"] = disjoint_union([lexicographic_product(srs, h2).graph] + [h2] * (g.n - srs.n))
-    _need(bool(rhs), "no clause applicable")
 
     checks = {}
     notes = []
@@ -611,16 +608,12 @@ def check_s22(verdict, g: Graph, h: Graph) -> Verdict:
             checks[f"iso_{item}"] = (True, brute_force_isomorphic(lhs_graph, rhs_graph))
         else:
             notes.append(f"{item}: isomorphism skipped above {ISO_MAX_ORDER} vertices")
-    _need(bool(checks), "; ".join(notes))
     return _equalities(verdict, checks, note="; ".join(notes))
 
 
-@statement("S23", "pair", "gp_o of lexicographic products with a twin-free first factor")
-def check_s23(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and h.n >= 2, "requires both factors of order >= 2")
-    _need(_twin_free(g), "first factor must be twin-free")
-    _need(not is_complete(h), "second factor must be non-complete")
-    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
+@statement("S23", "pair", "gp_o of lexicographic products with a twin-free first factor",
+           FACTORS_2, G_TWIN_FREE, H_NON_COMPLETE, lex=36)
+def check_s23(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_o", pg.graph)[0]
     gpo_g = positions.invariant("gp_o", g)[0]
     checks = {}
@@ -630,35 +623,28 @@ def check_s23(verdict, g: Graph, h: Graph) -> Verdict:
         checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h)[0])
     if _twin_free(h):
         checks["iii"] = (lhs, gpo_g * cliques.independence_number(h)[0])
-    _need(bool(checks), "no clause applicable")
     return _equalities(verdict, checks)
 
 
-@statement("S24", "pair", "gp_o of a lexicographic product with a complete second factor")
-def check_s24(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2, "first factor must have order >= 2")
-    _need(h.n >= 2 and is_complete(h), "second factor must be complete of order >= 2")
-    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
+@statement("S24", "pair", "gp_o of a lexicographic product with a complete second factor",
+           G_ORDER_2, H_COMPLETE_2, lex=36)
+def check_s24(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_o", pg.graph)[0]
     rhs = h.n * positions.invariant("gp_o", g)[0]
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
 
-@statement("S25", "pair", "gp_o of a lexicographic product with a complete first factor")
-def check_s25(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(g.n >= 2 and is_complete(g), "first factor must be complete of order >= 2")
-    _need(h.n >= 2 and _no_universal(h), "second factor must have no universal vertex")
-    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
+@statement("S25", "pair", "gp_o of a lexicographic product with a complete first factor",
+           G_COMPLETE_2, H_NO_UNIVERSAL, lex=36)
+def check_s25(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     lhs = positions.invariant("gp_o", pg.graph)[0]
     tag, rhs = _outer_cone_form(h)
     return _equalities(verdict, {tag: (lhs, rhs)})
 
 
-@statement("S26", "pair", "gp_o via the SRS graph when the first factor has twins")
-def check_s26(verdict, g: Graph, h: Graph) -> Verdict:
-    _need(not is_complete(g), "first factor must be non-complete")
-    _need(h.n >= 2 and _no_universal(h), "second factor must have no universal vertex")
-    pg = _product(lexicographic_product, g, h, CAP_LEX_OUTER)
+@statement("S26", "pair", "gp_o via the SRS graph when the first factor has twins",
+           G_NON_COMPLETE, H_NO_UNIVERSAL, lex=36)
+def check_s26(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     srs, _ = resolving.tf_boundary_and_srs(g)
     omega_srs = cliques.max_clique(srs)[0]
     lhs = positions.invariant("gp_o", pg.graph)[0]
@@ -685,7 +671,6 @@ def check_s27(verdict, g: Graph, h: Graph) -> Verdict:
             )
         else:
             notes.append(f"ii: product order above cap {CAP_S27_COMPLETE}")
-    _need(bool(checks), "; ".join(notes) or "no clause applicable")
     return _equalities(verdict, checks, note="; ".join(notes))
 
 
@@ -792,8 +777,8 @@ def parse_corpus(spec: str) -> Corpus:
 
 def parse_statement_ids(text: str | None) -> list[str] | None:
     """Ids from a comma-separated list such as ``"S1, S2"``; None (every
-    statement) for ``None`` or ``"all"``."""
-    if text in (None, "all"):
+    statement) for ``None`` or ``"all"``, surrounding whitespace ignored."""
+    if text is None or text.strip() == "all":
         return None
     return [s.strip() for s in text.split(",") if s.strip()]
 

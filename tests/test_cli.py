@@ -192,6 +192,14 @@ def test_verify_unknown_statement(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("text", [" all", "all ", "\tall\n"])
+def test_verify_statement_list_ignores_surrounding_whitespace(capsys, text):
+    _, want, _ = run(capsys, "verify", "--statements", "all", "--corpus", "exhaustive:3")
+    code, out, err = run(capsys, "verify", "--statements", text, "--corpus", "exhaustive:3")
+    assert (code, err) == (1, "")
+    assert out == want
+
+
 def test_verify_empty_statement_list_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--statements", "", "--corpus", "exhaustive:3")
     assert code == 2

@@ -1,5 +1,7 @@
 """Statement catalog, corpus parsing, suite runner."""
 
+import itertools
+
 import pytest
 
 from genpos import graphs, positions, resolving, statements
@@ -228,8 +230,9 @@ def test_one_graph_corpus_builds_its_distances_once(built):
 
 
 def test_one_graph_corpus_builds_its_strong_resolving_graphs_once(monkeypatch):
-    # S2, S21 and S22 read the strong resolving graph through one per-group
-    # memo, as the simplicial vertices are read through another.
+    # S2, S4, S21 and S22, and gp_o's characterization (which S4 asks for),
+    # read the strong resolving graph through one per-group memo, as the
+    # simplicial vertices are read through another.
     seen = []
     original = resolving.strong_resolving_graph
 
@@ -239,8 +242,9 @@ def test_one_graph_corpus_builds_its_strong_resolving_graphs_once(monkeypatch):
 
     monkeypatch.setattr(resolving, "strong_resolving_graph", counting)
     c5 = cycle(5)
-    verdicts, _ = run_suite(parse_corpus("family:cycle:5"), ["S2", "S21", "S22", "S9", "S19"])
-    assert [v.outcome for v in verdicts] == ["holds"] * 5
+    verdicts, _ = run_suite(parse_corpus("family:cycle:5"),
+                            ["S2", "S4", "S21", "S22", "S9", "S19"])
+    assert [v.outcome for v in verdicts] == ["holds"] * 6
     cone = statements._cone(c5)
     assert seen == [c5, cone, lexicographic_product(c5, c5).graph]
     # S9 and S19 scan C5 for simplicial vertices once between them, and each
@@ -448,29 +452,104 @@ def test_product_memo_keeps_the_cap_check():
 
 
 def test_product_memo_returns_one_object_per_group():
-    first = statements._product(strong_product, cycle(5), path(3), 256)
-    again = statements._product(strong_product, cycle(5), path(3), 256)
+    first = statements._built(strong_product, cycle(5), path(3))
+    again = statements._built(strong_product, cycle(5), path(3))
     assert again is first and again == strong_product(cycle(5), path(3))
-    assert statements._product(lexicographic_product, cycle(5), path(3), 256) != first
+    assert statements._built(lexicographic_product, cycle(5), path(3)) != first
     graphs.clear_memos()
-    fresh = statements._product(strong_product, cycle(5), path(3), 256)
+    fresh = statements._built(strong_product, cycle(5), path(3))
     assert fresh is not first and fresh == first
 
 
-@pytest.mark.parametrize("sid,g,h,note", [
+# (note, test) hypotheses that @statement lines name
+HYPOTHESES = {name: value for name, value in vars(statements).items()
+              if name.isupper() and isinstance(value, tuple) and len(value) == 2
+              and isinstance(value[0], str) and callable(value[1])}
+
+# Factors are family specs, or graph6 for the disconnected "B?"; h is None
+# for a graph statement.  A comment marks each case where a later check
+# would fail too, so the note shows which check comes first.
+SKIP_NOTES = [
+    ("S3", "path:7", None, "subset sweep capped at n <= 6"),
+    ("S4", "path:1", None, "empty boundary (K1): pruned SR graph is empty"),
+    ("S21", "path:1", None, "requires order >= 2"),
+    ("S15", "complete:3", None, "requires a twin-free graph"),  # and diameter 1
+    ("S6", "path:4", None, "requires diameter 2"),
+    ("S7", "complete:3", None, "requires diameter >= 2"),
     ("S5", "path:5", "path:5", "product order above cap 16"),
     ("S16", "cycle:5", "path:4", "product order above cap 16"),
+    ("S12", "path:1", "path:3", "requires both factors of order >= 2"),
     ("S13", "cycle:4", "path:3", "requires two block graphs"),
-    ("S23", "complete:3", "path:3", "first factor must be twin-free"),
-    ("S23", "path:7", "path:6", "product order above cap 36"),
-    ("S27", "cycle:6", "cycle:5", "i: product order above cap 25"),
     ("S18", "path:4", "complete:3", "first factor must be complete"),
-])
+    # a hypothesis before the cap: order 25 is above 24
+    ("S18", "path:5", "complete:5", "first factor must be complete"),
+    ("S23", "complete:3", "path:3", "first factor must be twin-free"),
+    # an earlier hypothesis before a later one: H is complete too
+    ("S23", "complete:3", "complete:3", "first factor must be twin-free"),
+    ("S23", "path:1", "complete:3", "requires both factors of order >= 2"),
+    ("S23", "path:3", "complete:3", "second factor must be non-complete"),
+    # a hypothesis before the cap: order 42 is above 36
+    ("S23", "complete:7", "path:6", "first factor must be twin-free"),
+    ("S23", "path:7", "path:6", "product order above cap 36"),
+    ("S24", "path:1", "complete:3", "first factor must have order >= 2"),
+    ("S24", "path:3", "path:3", "second factor must be complete of order >= 2"),
+    ("S25", "path:3", "cycle:4", "first factor must be complete of order >= 2"),
+    ("S25", "complete:3", "star:3", "second factor must have no universal vertex"),
+    ("S26", "complete:3", "cycle:4", "first factor must be non-complete"),
+    ("S27", "cycle:6", "cycle:5", "i: product order above cap 25"),
+    ("S27", "path:3", "path:3", "no clause applicable"),
+    # connectivity before a hypothesis: B? is not complete either
+    ("S18", "B?", "complete:3", "requires connected graphs"),
+]
+
+
+@pytest.mark.parametrize("sid,g,h,note", SKIP_NOTES)
 def test_skip_notes(sid, g, h, note):
-    pair = (generate(parse_family(g)), generate(parse_family(h)))
-    [v] = check_statement(sid, pair)
+    factors = [generate(parse_family(s)) if ":" in s else parse_graph6(s)
+               for s in (g, h) if s is not None]
+    [v] = check_statement(sid, factors[0] if h is None else tuple(factors))
     assert (v.outcome, v.note) == ("precondition-not-met", note)
-    assert v.instance == f"{write_graph6(pair[0])},{write_graph6(pair[1])}"
+    assert v.lhs is None and v.rhs is None
+    assert v.instance == ",".join(write_graph6(f) for f in factors)
+
+
+def test_skip_notes_cover_every_hypothesis():
+    assert len(HYPOTHESES) == 17
+    assert {note for note, _ in HYPOTHESES.values()} <= {note for *_, note in SKIP_NOTES}
+
+
+# Per-statement (holds, precondition-not-met) on the connected graphs of
+# networkx's atlas with n <= 6 (143 isomorphism classes), and on all 81
+# ordered pairs of its 9 connected graphs with 2 <= n <= 4.
+ATLAS_COUNTS = {
+    "S1": (143, 0), "S2": (143, 0), "S3": (143, 0), "S4": (142, 1),
+    "S6": (78, 65), "S7": (137, 6), "S15": (39, 104), "S21": (142, 1),
+    "S5": (81, 0), "S9": (81, 0), "S10": (81, 0), "S11": (81, 0),
+    "S12": (81, 0), "S13": (49, 32), "S16": (81, 0), "S18": (27, 54),
+    "S19": (81, 0), "S20": (81, 0), "S22": (61, 20), "S23": (24, 57),
+    "S24": (27, 54), "S25": (6, 75), "S26": (12, 69), "S27": (28, 53),
+}
+
+
+def test_every_statement_holds_on_the_atlas():
+    # Coverage: each graph and pair statement meets its hypotheses somewhere
+    # here (S5, S16, S18, S25 and S27 hold nowhere on the exhaustive:6
+    # rotation pairs), and none fails.
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+             for a in nx.graph_atlas_g()[1:] if a.number_of_nodes() <= 6 and nx.is_connected(a)]
+    small = [g for g in atlas if 2 <= g.n <= 4]
+    assert (len(atlas), len(small)) == (143, 9)
+    by_arity = {"graph": Corpus(graphs=tuple(atlas)),
+                "pair": Corpus(pairs=tuple(itertools.product(small, small)))}
+    counts = {}
+    for arity, corpus in by_arity.items():
+        ids = [sid for sid, st in STATEMENTS.items() if st.arity == arity]
+        _, summary = run_suite(corpus, ids)
+        assert summary["fails"] == 0
+        counts.update({sid: (c["holds"], c["precondition-not-met"])
+                       for sid, c in summary["statements"].items()})
+    assert counts == ATLAS_COUNTS
 
 
 # Three isolated vertices, as a file: corpus may hold them; path:3 is the
