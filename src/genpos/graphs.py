@@ -31,6 +31,10 @@ def from_mask(mask: int) -> frozenset[int]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first.  For cold paths only: the hot
+    loops (BFS, searches, oracles, product builders) walk the bits inline
+    (``low = m & -m; m ^= low``), which skips a generator resumption per
+    bit."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -231,7 +235,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         d = 0
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
+            m = frontier
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
                 row[v] = d
                 nxt |= adj[v]
             if d >= 2:
@@ -279,12 +287,16 @@ def clear_memos() -> None:
 
 
 def is_connected(g: Graph) -> bool:
+    adj = g.adj
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= frontier
     return seen == g.vertices_mask()
@@ -336,7 +348,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     index = {old: new for new, old in enumerate(labels)}
     rows = [0] * len(labels)
     for new, old in enumerate(labels):
-        for w in iter_bits(g.adj[old]):
+        m = g.adj[old]
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
             if w in index:
                 rows[new] |= 1 << index[w]
     return Graph(len(labels), tuple(rows)), labels
@@ -369,8 +385,12 @@ def remove_true_twin_edges(g: Graph) -> Graph:
 
 
 def is_clique_mask(g: Graph, mask: int) -> bool:
-    for v in iter_bits(mask):
-        if mask & ~g.closed_neighborhood(v):
+    adj = g.adj
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        if mask & ~(adj[low.bit_length() - 1] | low):
             return False
     return True
 

@@ -44,7 +44,6 @@ from .graphs import (
     from_mask,
     group_memo,
     is_connected,
-    iter_bits,
     require_connected,
     simplicial_vertices,
     to_mask,
@@ -91,10 +90,16 @@ def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
 def _pairs_avoid(blockers: list[list[int]], pairs: int, forbidden: int) -> bool:
     """No pair inside ``pairs`` has a ``forbidden`` vertex strictly between
     (``blockers`` is a ``DistanceMatrix.blockers`` table)."""
-    for u in iter_bits(pairs):
-        bu = blockers[u]
-        for v in iter_bits(pairs >> (u + 1) << (u + 1)):
-            if bu[v] & forbidden:
+    rest = pairs
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bu = blockers[low.bit_length() - 1]
+        m = rest  # the members of ``pairs`` above this one
+        while m:
+            low = m & -m
+            m ^= low
+            if bu[low.bit_length() - 1] & forbidden:
                 return False
     return True
 
@@ -107,8 +112,11 @@ def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
     # Pairs with at least one endpoint in X must avoid X in their interiors;
     # rowunion[u] collects the interiors of every pair through u.
     rowunion = dm.rowunion
-    for u in iter_bits(xmask):
-        if rowunion[u] & xmask:
+    m = xmask
+    while m:
+        low = m & -m
+        m ^= low
+        if rowunion[low.bit_length() - 1] & xmask:
             return False
     return True
 
@@ -130,7 +138,9 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     sorted labels (lowest candidate first, include before exclude), so the
     witness is the lexicographically first maximum set.  ``cand`` holds the
     vertices above the last member of X that can still join it; the bound is
-    ``size + popcount(cand)``.  Three prunes shrink ``cand``, each sound:
+    ``size + popcount(cand)``.  ``members`` is X as a tuple, which the kill
+    and forced-partner loops read instead of walking ``xmask``.  Three
+    prunes shrink ``cand``, each sound:
 
     - Shadow kills.  X + v + w is in general position exactly when X + v and
       X + w are and no triple {u, v, w} with u in X has one vertex strictly
@@ -194,8 +204,10 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     best = -1
     best_mask = 0
 
-    def extend(xmask: int, size: int, cand: int, hull: int, need: int) -> None:
+    def extend(xmask: int, members: tuple[int, ...], cand: int, hull: int,
+               need: int) -> None:
         nonlocal best, best_mask
+        size = len(members)
         if size > best and (not dual or not need & ~xmask
                             and _pairs_avoid(blockers, ~xmask & full, xmask)):
             best, best_mask = size, xmask
@@ -205,9 +217,12 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
                 grown = _hull_with(blockers, hull, (low - 1) & ~xmask)
                 if grown & xmask:
                     return
-                for c in iter_bits(grown & ~hull):
-                    sc = shadow[c]
-                    for u in iter_bits(xmask):
+                m = grown & ~hull
+                while m:
+                    c = m & -m
+                    m ^= c
+                    sc = shadow[c.bit_length() - 1]
+                    for u in members:
                         need |= sc[u]
                 hull = grown
                 cand &= ~hull
@@ -222,16 +237,19 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
             bv = blockers[v]
             sv = shadow[v]
             kill = 0
-            for u in iter_bits(xmask):
+            for u in members:
                 kill |= bv[u] | shadow[u][v] | sv[u]
             partners = need
             if dual:
-                for c in iter_bits(hull):
-                    partners |= shadow[c][v]
-            extend(xmask | low, size + 1, cand & ~kill, hull, partners)
+                m = hull
+                while m:
+                    c = m & -m
+                    m ^= c
+                    partners |= shadow[c.bit_length() - 1][v]
+            extend(xmask | low, members + (v,), cand & ~kill, hull, partners)
             cand &= ~twins_above[v]
 
-    extend(0, 0, full & ~_never_dual(dm) if dual else full, 0, 0)
+    extend(0, (), full & ~_never_dual(dm) if dual else full, 0, 0)
     return best, from_mask(best_mask)
 
 
@@ -250,8 +268,11 @@ def _never_dual(dm: DistanceMatrix) -> int:
             same, other = frontier, 0
             while frontier:
                 nxt = 0
-                for a in iter_bits(frontier):
-                    nxt |= col[a]
+                m = frontier
+                while m:
+                    low = m & -m
+                    m ^= low
+                    nxt |= col[low.bit_length() - 1]
                 if nxt & same:
                     never |= 1 << x
                     seen = todo
@@ -272,8 +293,11 @@ def _hull_with(blockers: list[list[int]], hull: int, add: int) -> int:
         todo &= todo - 1
         bx = blockers[x]
         grown = 0
-        for y in iter_bits(hull):
-            grown |= bx[y]
+        m = hull
+        while m:
+            low = m & -m
+            m ^= low
+            grown |= bx[low.bit_length() - 1]
         grown &= ~hull
         hull |= grown
         todo |= grown
@@ -293,8 +317,12 @@ def max_outer_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     rowunion = dm.rowunion
     conf = list(rowunion)
     for u in range(n):
-        for v in iter_bits(rowunion[u]):
-            conf[v] |= 1 << u
+        bit = 1 << u
+        m = rowunion[u]
+        while m:
+            low = m & -m
+            m ^= low
+            conf[low.bit_length() - 1] |= bit
     best = 0
     best_mask = 0
 
@@ -343,8 +371,11 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
         if not (blocked >> v & 1) and not (forbidden >> v & 1):
             ok = True
             nb = blocked
-            for u in iter_bits(xmask):
-                b = blockers[u][v]
+            m = xmask
+            while m:
+                low = m & -m
+                m ^= low
+                b = blockers[low.bit_length() - 1][v]
                 if b & xmask:
                     ok = False
                     break
@@ -354,8 +385,11 @@ def max_dual_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
         # exclude v: every pair of excluded vertices must stay X-free inside
         acc = 0
         bv = blockers[v]
-        for e in iter_bits(emask):
-            acc |= bv[e]
+        m = emask
+        while m:
+            low = m & -m
+            m ^= low
+            acc |= bv[low.bit_length() - 1]
         if not acc & xmask:
             rec(i + 1, xmask, emask | 1 << v, blocked, forbidden | acc, size)
 

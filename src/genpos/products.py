@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 DEFAULT_VERTEX_CAP = 4096
 
@@ -43,9 +43,13 @@ def strong_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Product
             x = a * nh + b
             # same G-coordinate, move in H
             row = h.adj[b] << (a * nh)
-            for a2 in iter_bits(g.adj[a]):
-                # move in G, same or adjacent H-coordinate
-                row |= (h.adj[b] | 1 << b) << (a2 * nh)
+            # move in G, same or adjacent H-coordinate
+            closed = h.adj[b] | 1 << b
+            m = g.adj[a]
+            while m:
+                low = m & -m
+                m ^= low
+                row |= closed << ((low.bit_length() - 1) * nh)
             rows[x] = row
     return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh)
 
@@ -58,8 +62,11 @@ def lexicographic_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> 
     rows = [0] * (ng * nh)
     for a in range(ng):
         cross = 0
-        for a2 in iter_bits(g.adj[a]):
-            cross |= full_h << (a2 * nh)
+        m = g.adj[a]
+        while m:
+            low = m & -m
+            m ^= low
+            cross |= full_h << ((low.bit_length() - 1) * nh)
         for b in range(nh):
             rows[a * nh + b] = cross | (h.adj[b] << (a * nh))
     return ProductGraph(Graph(ng * nh, tuple(rows)), ng, nh)

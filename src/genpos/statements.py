@@ -411,24 +411,23 @@ def check_s21(verdict, g: Graph) -> Verdict:
     g2 = resolving.g2bar(g)
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
-    notes = []
     if _no_universal(g):
         pruned, _ = resolving.prune_isolated(resolving.srs(_cone(g)))
         assert pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
+        # Neither is empty: a diametral pair is MMD, and g2bar joins a pair at
+        # distance 2 or, when g is complete, a true-twin pair.
         pruned_g2, _ = resolving.prune_isolated(g2)
         pruned_sr, _ = resolving.prune_isolated(resolving.srs(g))
-        if pruned_g2 is None or pruned_sr is None:
-            notes.append("ii: pruned graph empty")
-        else:
-            checks["ii"] = (
-                cliques.max_clique(pruned_g2)[0],
-                cliques.max_clique(pruned_sr)[0],
-            )
+        assert pruned_g2 is not None and pruned_sr is not None
+        checks["ii"] = (
+            cliques.max_clique(pruned_g2)[0],
+            cliques.max_clique(pruned_sr)[0],
+        )
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
-    return _equalities(verdict, checks, note="; ".join(notes))
+    return _equalities(verdict, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The benchmark's workloads run end to end on this checkout.
 
 Each run checks its own reference: catalog-ex5 the committed exhaustive:5
-verdict stream, products-large at seed 1 the committed verdict lines and
-networkx's values.  Nothing here times anything; the workloads are run as
+verdict stream, bundles-mid networkx's diameter, clique and independence
+numbers and the oracle engine's gp_t, gp_o and gp_d of every bundle, and
+products-large at seed 1 the committed verdict lines and networkx's values.  Nothing here times anything; the workloads are run as
 ``perfbench/run.py`` runs them, hooks on ``statements._run_instance``
 included.
 """
@@ -17,7 +18,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["catalog-ex5", "products-large"])
+@pytest.mark.parametrize("workload", ["catalog-ex5", "bundles-mid", "products-large"])
 def test_workload_is_correct(workload):
     pytest.importorskip("networkx")
     run = subprocess.run(

@@ -229,6 +229,18 @@ def test_dual_search_prunes_against_the_definition(n, bits):
     assert positions._max_dual_characterization(dm) == (k, frozenset(first))
 
 
+@given(n=st.integers(2, 8), bits=st.integers(0))
+@settings(max_examples=200, deadline=None)
+def test_gp_search_against_the_definition(n, bits):
+    g = random_connected(n, bits)
+    dm = all_pairs_distances(g)
+    k = max(len(x) for x in subsets(n) if is_general_position(dm, x))
+    # the witness is the first largest general position set in combinations order
+    first = next(x for x in itertools.combinations(range(n), k)
+                 if is_general_position(dm, x))
+    assert max_gp_oracle(dm) == (k, frozenset(first))
+
+
 # The lexicographically first maximum set is the witness of the gp search in
 # both modes; pinned on graphs full of true twins, so a change of search
 # order or of the twin rule shows here.
@@ -332,6 +344,24 @@ def test_gp_oracle_matches_networkx_brute_force():
         size, witness = max_gp_oracle(dm)
         assert size == len(witness) == _brute_gp(g, nx)
         assert is_general_position(dm, witness)
+
+
+@pytest.mark.parametrize("m, size, witness", [
+    (7, 10, [0, 1, 11, 14, 16, 26, 29, 31, 41, 46]),
+    (8, 9, [0, 2, 5, 16, 18, 21, 40, 42, 45]),
+], ids=["C7xC7", "C8xC8"])
+def test_gp_of_strong_squares_of_cycles(m, size, witness):
+    # gp(C7 x C7) = 10 exceeds gp(C7)^2 = 9; C8 x C8 meets gp(C8)^2 = 9
+    assert gp_number(cycle(m))[0] == 3
+    g = strong_product(cycle(m), cycle(m)).graph
+    dm = all_pairs_distances(g)
+    assert max_gp_oracle(dm) == (size, frozenset(witness))
+    assert is_general_position(dm, witness)
+    nx = pytest.importorskip("networkx")
+    d = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
+    assert not any(d[a][u] + d[u][b] == d[a][b]
+                   for a, b in itertools.combinations(witness, 2)
+                   for u in witness if u not in (a, b))
 
 
 def test_connected_required():
