@@ -1,7 +1,10 @@
 """Exact maximum clique / independence solvers on bitset graphs.
 
-Branch and bound with a greedy-coloring upper bound; deterministic (ties
-broken by lowest label), so witnesses are reproducible.
+Branch and bound with a greedy-colouring upper bound (Tomita & Seki's MCQ,
+2003), each colour class built as one mask as in San Segundo et al.'s
+bit-parallel search (Comput. Oper. Res. 2011).  It branches on the highest
+colour class first and on the highest label first inside a class, so the
+search is deterministic and witnesses are reproducible.
 Works on disconnected inputs, which strong resolving graphs often are.
 """
 
@@ -17,35 +20,36 @@ def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
     best_size = 0
     best_mask = 0
 
-    def coloring(cand: int) -> list[tuple[int, int]]:
-        # Greedy coloring of the candidate set; (vertex, color) pairs with
-        # colors nondecreasing.  Reversed, this is the branching order.
-        out: list[tuple[int, int]] = []
-        color = 0
-        left = cand
-        while left:
-            color += 1
-            avail = left
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                out.append((v, color))
-                left &= ~(1 << v)
-                avail &= ~adj[v] & ~(1 << v)
-        return out
-
     def expand(clique: int, size: int, cand: int) -> None:
         nonlocal best_size, best_mask
-        for v, color in reversed(coloring(cand)):
-            if size + color <= best_size:
-                return
-            new_clique = clique | 1 << v
-            new_cand = cand & adj[v]
-            if size + 1 > best_size:
-                best_size = size + 1
-                best_mask = new_clique
-            if new_cand:
-                expand(new_clique, size + 1, new_cand)
-            cand &= ~(1 << v)
+        # Greedy colouring of the candidates, each class one mask (colour k
+        # is classes[k - 1]); a clique takes at most one vertex per class.
+        classes = []
+        left = cand
+        while left:
+            cls = 0
+            avail = left
+            while avail:
+                low = avail & -avail
+                cls |= low
+                avail &= ~(adj[low.bit_length() - 1] | low)
+            left ^= cls
+            classes.append(cls)
+        for color in range(len(classes), 0, -1):
+            cls = classes[color - 1]
+            while cls:
+                if size + color <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                low = 1 << v
+                cls ^= low
+                new_cand = cand & adj[v]
+                if size + 1 > best_size:
+                    best_size = size + 1
+                    best_mask = clique | low
+                if new_cand:
+                    expand(clique | low, size + 1, new_cand)
+                cand ^= low
 
     expand(0, 0, g.vertices_mask())
     return best_size, from_mask(best_mask)

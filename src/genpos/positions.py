@@ -19,13 +19,18 @@ One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
 the convex-complement search for gp_d.  It carries the mask of the vertices
 that can still join X, shrunk by the blocker and shadow tables when a vertex
 joins, by the geodesic hull of the excluded vertices in dual mode, and by
-the true-twin rule (a twin is offered only after its lower twins).  Dual
-mode also reads the split-pair lemma: when x is in a dual set X, every pair
-with x strictly inside one of its geodesics has one end in X and the other
-outside.  So a vertex whose split pairs form a graph that is not bipartite is
-never offered, and a branch ends once a vertex that a split pair forces into
-X can no longer join it.  The dual and outer oracles stay definition-level
-and twin-blind, so gp_d and gp_o keep two independent engines.
+the true-twin rule (a twin is offered only after its lower twins); a child
+that cannot beat the best size is never entered.  Dual mode grows the hull
+from the vertices outside it, and tests the complement of each accepted set
+for convexity, both through ``rowunion`` and ``shadow`` rather than over
+pairs of ``blockers``.  It also reads the split-pair lemma: when x is in a
+dual set X, every pair with x strictly inside one of its geodesics has one
+end in X and the other outside.  So a vertex whose split pairs form a graph
+that is not bipartite is never offered, and a branch ends once a vertex that
+a split pair forces into X can no longer join it.  The dual and outer
+oracles stay definition-level and twin-blind, and with the ``_is_*_mask``
+predicates keep reading ``blockers`` and ``rowunion``, so gp_d and gp_o keep
+two independent engines.
 """
 
 from __future__ import annotations
@@ -138,7 +143,10 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     sorted labels (lowest candidate first, include before exclude), so the
     witness is the lexicographically first maximum set.  ``cand`` holds the
     vertices above the last member of X that can still join it; the bound is
-    ``size + popcount(cand)``.  ``members`` is X as a tuple, which the kill
+    ``size + popcount(cand)``.  A child X + v is entered only when
+    ``size + 1`` plus the popcount of its ``cand`` beats the best size: a
+    child that fails this would return at once without touching the best
+    set, in either mode.  ``members`` is X as a tuple, which the kill
     and forced-partner loops read instead of walking ``xmask``.  Three
     prunes shrink ``cand``, each sound:
 
@@ -154,7 +162,11 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
       convex, so it contains their geodesic hull.  Before v is offered the
       hull is grown to cover them and removed from ``cand``; once it meets X
       no set of the branch (or of a later sibling, whose hull is larger) is
-      accepted.  Each accepted X is still tested on its whole complement.
+      accepted.  ``_hull_with`` grows the hull from outside it through
+      ``shadow``.  Each accepted X is still tested on its whole complement
+      C, also through ``shadow`` (``_shadow_avoid``): it fails when some a
+      in C and x in X with x in ``rowunion[a]`` have ``shadow[a][x] & C``.
+      The test does not rely on the hull.
     - True twins.  v is offered only when every lower-labelled true twin of
       v is in X: once v is passed over, its higher true twins leave
       ``cand``.  Swapping two true twins is an automorphism, so it maps
@@ -193,6 +205,7 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     """
     n = dm.n
     full = (1 << n) - 1
+    rowunion = dm.rowunion
     blockers = dm.blockers
     shadow = dm.shadow
     twins_above = [0] * n
@@ -208,13 +221,13 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
                need: int) -> None:
         nonlocal best, best_mask
         size = len(members)
-        if size > best and (not dual or not need & ~xmask
-                            and _pairs_avoid(blockers, ~xmask & full, xmask)):
+        if size > best and (not dual or not need & ~xmask and _shadow_avoid(
+                rowunion, shadow, ~xmask & full, xmask)):
             best, best_mask = size, xmask
         while cand:
             low = cand & -cand
             if dual:
-                grown = _hull_with(blockers, hull, (low - 1) & ~xmask)
+                grown = _hull_with(rowunion, shadow, hull, (low - 1) & ~xmask)
                 if grown & xmask:
                     return
                 m = grown & ~hull
@@ -239,14 +252,16 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
             kill = 0
             for u in members:
                 kill |= bv[u] | shadow[u][v] | sv[u]
-            partners = need
-            if dual:
-                m = hull
-                while m:
-                    c = m & -m
-                    m ^= c
-                    partners |= shadow[c.bit_length() - 1][v]
-            extend(xmask | low, members + (v,), cand & ~kill, hull, partners)
+            child = cand & ~kill
+            if size + 1 + child.bit_count() > best:
+                partners = need
+                if dual:
+                    m = hull
+                    while m:
+                        c = m & -m
+                        m ^= c
+                        partners |= shadow[c.bit_length() - 1][v]
+                extend(xmask | low, members + (v,), child, hull, partners)
             cand &= ~twins_above[v]
 
     extend(0, (), full & ~_never_dual(dm) if dual else full, 0, 0)
@@ -284,24 +299,49 @@ def _never_dual(dm: DistanceMatrix) -> int:
     return never
 
 
-def _hull_with(blockers: list[list[int]], hull: int, add: int) -> int:
-    """Geodesic hull of the convex set ``hull`` together with the mask ``add``."""
+def _hull_with(rowunion: list[int], shadow: list[list[int]], hull: int,
+               add: int) -> int:
+    """Geodesic hull of the convex set ``hull`` together with the mask ``add``.
+
+    Grown from outside: each x that enters the hull takes in the w outside
+    it with ``shadow[x][w] & hull``, i.e. w strictly inside an x,h-geodesic
+    for some h in the hull (h is in ``shadow[x][w]`` exactly when w is in
+    ``blockers[x][h]``, and every such w is in ``rowunion[x]``)."""
     todo = add & ~hull
     hull |= todo
     while todo:
-        x = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        bx = blockers[x]
-        grown = 0
-        m = hull
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
+        sx = shadow[x]
+        m = rowunion[x] & ~hull
         while m:
-            low = m & -m
-            m ^= low
-            grown |= bx[low.bit_length() - 1]
-        grown &= ~hull
-        hull |= grown
-        todo |= grown
+            w = m & -m
+            m ^= w
+            if sx[w.bit_length() - 1] & hull:
+                hull |= w
+                todo |= w
     return hull
+
+
+def _shadow_avoid(rowunion: list[int], shadow: list[list[int]], pairs: int,
+                  forbidden: int) -> bool:
+    """``_pairs_avoid(blockers, pairs, forbidden)`` read off the shadow table:
+    a ``forbidden`` x lies strictly inside an a,b-geodesic with a, b in
+    ``pairs`` exactly when x is in ``rowunion[a]`` and b in ``shadow[a][x]``."""
+    rest = pairs
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        sa = shadow[a]
+        m = rowunion[a] & forbidden
+        while m:
+            x = m & -m
+            m ^= x
+            if sa[x.bit_length() - 1] & pairs:
+                return False
+    return True
 
 
 def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:

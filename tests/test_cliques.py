@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from genpos.cliques import alpha_k, independence_number, max_clique
 from genpos.errors import DomainError
-from genpos.graphs import Graph, all_pairs_distances, is_connected
+from genpos.families import generate, parse_family
+from genpos.graphs import Graph, all_pairs_distances, complement, is_connected
+from genpos.products import strong_product
 
 
 def random_graph(n, bits):
@@ -65,9 +67,32 @@ def test_clique_and_independence_match_networkx(n, p_milli):
     assert all(not g.has_edge(u, v) for u, v in combinations(sorted(independent), 2))
 
 
+def family(text):
+    return generate(parse_family(text))
+
+
+# Witnesses recorded before the search kept its colour classes as masks, on
+# graphs with several maximum cliques (and independent and k-distant sets),
+# so a change of branching order shows: the search takes the highest colour
+# class first and the highest label first inside a class.
+RECORDED_WITNESSES = [
+    # graph, max_clique, independence_number, {k: alpha_k}
+    (complement(family("cycle:7")), [2, 4, 6], [5, 6], {1: [5, 6]}),
+    (strong_product(family("cycle:5"), family("complete:2")).graph,
+     [6, 7, 8, 9], [5, 9], {1: [5, 9]}),
+    (random_graph(8, 0b101101110011101011), [0, 1, 4, 5], [3, 5, 6, 7], {}),
+    (family("cycle:9"), [7, 8], [2, 4, 6, 8], {1: [2, 4, 6, 8], 2: [2, 5, 8], 3: [4, 8]}),
+    (strong_product(family("path:4"), family("path:3")).graph,
+     [7, 8, 10, 11], [3, 5, 9, 11], {1: [3, 5, 9, 11], 2: [2, 11]}),
+]
+
+
 def test_max_clique_deterministic_witness():
-    g = random_graph(8, 0b101101110011101011)
-    assert max_clique(g) == max_clique(g)
+    for g, clique, independent, distant in RECORDED_WITNESSES:
+        assert max_clique(g) == (len(clique), frozenset(clique))
+        assert independence_number(g) == (len(independent), frozenset(independent))
+        for k, witness in distant.items():
+            assert alpha_k(g, k) == (len(witness), frozenset(witness))
 
 
 @given(bits=st.integers(0))

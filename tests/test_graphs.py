@@ -66,6 +66,13 @@ def test_construction_rejects_bad_adjacency():
         Graph(0, ())
 
 
+def test_from_edges_rejects_endpoints_outside_the_order():
+    with pytest.raises(ValueError, match=r"edge \(0,3\) references vertices outside 0..2"):
+        Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"edge \(-1,2\) references vertices outside 0..2"):
+        Graph.from_edges(3, [(0, 1), (-1, 2)])
+
+
 def test_graph_built_from_a_list_hashes_like_a_tuple():
     from genpos.positions import gp_outer
 

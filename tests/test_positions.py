@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from genpos import families, positions
 from genpos.errors import DomainError, GenposError
 from genpos.graph6 import write_graph6
-from genpos.graphs import Graph, all_pairs_distances, clear_memos, is_connected
+from genpos.graphs import Graph, all_pairs_distances, clear_memos, is_connected, iter_bits
 from genpos.positions import (
     CROSS_CHECK_CAPS,
     compute_bundle,
@@ -239,6 +239,56 @@ def test_gp_search_against_the_definition(n, bits):
     first = next(x for x in itertools.combinations(range(n), k)
                  if is_general_position(dm, x))
     assert max_gp_oracle(dm) == (k, frozenset(first))
+
+
+def labeled_connected(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        if is_connected(g):
+            yield g
+
+
+def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
+    # Both modes return the first largest set in combinations order that
+    # passes the definition-level predicate, on all 38 + 728 labeled
+    # connected graphs of these orders.
+    graphs = [g for n in (4, 5) for g in labeled_connected(n)]
+    assert len(graphs) == 766
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        for dual, accepts in ((False, is_general_position), (True, is_dual_gp)):
+            first = next(x for k in range(g.n, -1, -1)
+                         for x in itertools.combinations(range(g.n), k) if accepts(dm, x))
+            assert positions._max_gp_search(dm, dual) == (len(first), frozenset(first))
+
+
+def closure(dm, mask):
+    """Geodesic hull by the definition: add blocker masks to a fixed point."""
+    while True:
+        grown = mask
+        for a, b in itertools.combinations(iter_bits(mask), 2):
+            grown |= dm.blockers[a][b]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+@given(n=st.integers(2, 10), bits=st.integers(0), start=st.integers(0),
+       add=st.integers(0), other=st.integers(0))
+@settings(max_examples=200, deadline=None)
+def test_shadow_kernels_against_the_definition(n, bits, start, add, other):
+    dm = all_pairs_distances(random_connected(n, bits))
+    full = (1 << n) - 1
+    start, add, other = start & full, add & full, other & full
+    hull = closure(dm, start)
+    assert positions._hull_with(dm.rowunion, dm.shadow, hull, add) == closure(dm, hull | add)
+    # the dual acceptance test: no vertex of X inside a geodesic of the complement
+    comp = ~add & full
+    assert positions._shadow_avoid(dm.rowunion, dm.shadow, comp, add) == is_convex(
+        dm, iter_bits(comp))
+    assert positions._shadow_avoid(dm.rowunion, dm.shadow, start, other) == (
+        positions._pairs_avoid(dm.blockers, start, other))
 
 
 # The lexicographically first maximum set is the witness of the gp search in
