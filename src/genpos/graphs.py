@@ -364,9 +364,19 @@ def true_twin_classes(adj: Iterable[int]) -> list[list[int]]:
     """The classes of two or more vertices with equal closed neighborhoods,
     each sorted, from adjacency rows (``Graph.adj``, or ``layers[s][1]`` of a
     distance matrix)."""
+    return _equal_classes(row | 1 << v for v, row in enumerate(adj))
+
+
+def false_twin_classes(adj: Iterable[int]) -> list[list[int]]:
+    """The classes of two or more vertices with equal open neighborhoods,
+    each sorted, from adjacency rows as for ``true_twin_classes``."""
+    return _equal_classes(adj)
+
+
+def _equal_classes(keys: Iterable[int]) -> list[list[int]]:
     classes: dict[int, list[int]] = {}
-    for v, row in enumerate(adj):
-        classes.setdefault(row | 1 << v, []).append(v)
+    for v, key in enumerate(keys):
+        classes.setdefault(key, []).append(v)
     return [c for c in classes.values() if len(c) > 1]
 
 

@@ -19,8 +19,9 @@ One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
 the convex-complement search for gp_d.  It carries the mask of the vertices
 that can still join X, shrunk by the blocker and shadow tables when a vertex
 joins, by the geodesic hull of the excluded vertices in dual mode, and by
-the true-twin rule (a twin is offered only after its lower twins); a child
-that cannot beat the best size is never entered.  Dual mode grows the hull
+the twin rule for twins with equal closed or equal open neighbourhoods (a
+twin is offered only after its lower twins); a child that cannot beat the
+best size is never entered.  Dual mode grows the hull
 from the vertices outside it, and tests the complement of each accepted set
 for convexity, both through ``rowunion`` and ``shadow`` rather than over
 pairs of ``blockers``.  It also reads the split-pair lemma: when x is in a
@@ -52,6 +53,7 @@ from .graphs import (
     require_connected,
     simplicial_vertices,
     to_mask,
+    false_twin_classes,
     true_twin_classes,
 )
 
@@ -167,10 +169,14 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
       C, also through ``shadow`` (``_shadow_avoid``): it fails when some a
       in C and x in X with x in ``rowunion[a]`` have ``shadow[a][x] & C``.
       The test does not rely on the hull.
-    - True twins.  v is offered only when every lower-labelled true twin of
-      v is in X: once v is passed over, its higher true twins leave
-      ``cand``.  Swapping two true twins is an automorphism, so it maps
-      general position sets and dual sets to sets of the same kind and size.
+    - Twins with equal closed or equal open neighbourhoods.  v is offered
+      only when every lower-labelled twin of v is in X: once v is passed
+      over, its higher twins leave ``cand``.  No vertex is a twin of both
+      kinds: with N[u] = N[v] and N(w) = N(v), u is in N(v) = N(w), so w is
+      in N[u] = N[v] and adjacent to v, but v is not in N(v) = N(w).  So the
+      classes are disjoint.  Swapping two twins of either kind is an
+      automorphism, so it maps general position sets and dual sets to sets
+      of the same kind and size.
       A maximum set S that holds v but not a lower twin u maps to S - v + u,
       which is lexicographically smaller.  So the lexicographically first
       maximum set holds no twin without its lower twins, no twin kill
@@ -209,7 +215,8 @@ def _max_gp_search(dm: DistanceMatrix, dual: bool) -> tuple[int, frozenset[int]]
     blockers = dm.blockers
     shadow = dm.shadow
     twins_above = [0] * n
-    for twins in true_twin_classes(rings[1] for rings in dm.layers):
+    adj = [rings[1] for rings in dm.layers]
+    for twins in true_twin_classes(adj) + false_twin_classes(adj):
         above = to_mask(twins)
         for v in twins:
             above ^= 1 << v

@@ -23,10 +23,13 @@ in ``positions.CROSS_CHECK_CAPS``.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial, wraps
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cliques, families, positions, resolving
 from .errors import CapacityError, SpecError
@@ -65,8 +68,10 @@ CAP_S27_COMPLETE = 24
 # verdicts and the registry
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """One statement on one instance.  A named tuple, so that it is built,
+    pickled across the pool and unpickled without an instance dict."""
+
     statement: str
     instance: str
     outcome: str  # "holds" | "fails" | "precondition-not-met"
@@ -135,7 +140,9 @@ def statement(sid: str, arity: str, description: str, *requires,
                 return fn(partial(Verdict, sid))
         else:
             def checker(*graphs):
-                verdict = partial(Verdict, sid, ",".join(_graph6(g) for g in graphs))
+                # interned: every verdict of the instance shares one name
+                name = sys.intern(",".join(_graph6(g) for g in graphs))
+                verdict = partial(Verdict, sid, name)
                 for note, test in checks:
                     if not test(*graphs):
                         return verdict("precondition-not-met", note=note)
@@ -810,6 +817,13 @@ def run_suite(
     distances, instance name and cross-checked invariants, and its products
     with theirs, are computed once for all of their statements, and a graph
     that heads many explicit pairs still spreads them over the pool.
+
+    A pool worker sends back each group's verdicts as one list of named
+    tuples.  Their instance names are interned, so pickle sends each name
+    once per hand-off and this process keeps one copy of it.  The merge puts
+    each verdict in its statement's bucket as it arrives, the buckets in
+    numeric order of the ids, and sorts each bucket by instance.  The sort
+    is stable, so verdicts with equal keys keep the order of their groups.
     """
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")
@@ -834,6 +848,14 @@ def run_suite(
             for pair in corpus.derived_pairs():
                 key = pair if corpus.pairs else pair[0]
                 groups.setdefault(key, []).append((sid, pair))
+    buckets: dict[str, list[Verdict]] = {
+        sid: [] for sid in sorted(ids, key=lambda s: int(s[1:]))}
+
+    def merge(chunks) -> None:
+        for chunk in chunks:
+            for v in chunk:
+                buckets[v.statement].append(v)
+
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -841,19 +863,17 @@ def run_suite(
             # Each hand-off holds a future in this process; four groups (about
             # a hundred tasks) keep those few and still reach a second worker
             # from five groups on.
-            chunks = list(pool.map(_run_group, groups.values(), chunksize=4))
+            merge(pool.map(_run_group, groups.values(), chunksize=4))
     else:
-        chunks = [_run_group(group) for group in groups.values()]
-    verdicts = sorted(
-        (v for chunk in chunks for v in chunk),
-        key=lambda v: (int(v.statement[1:]), v.instance),
-    )
+        merge(map(_run_group, groups.values()))
+    verdicts: list[Verdict] = []
     counts: dict[str, dict[str, int]] = {}
-    for v in verdicts:
-        slot = counts.setdefault(
-            v.statement, {"holds": 0, "fails": 0, "precondition-not-met": 0}
-        )
-        slot[v.outcome] += 1
+    for sid, bucket in buckets.items():
+        if bucket:
+            bucket.sort(key=operator.attrgetter("instance"))
+            verdicts += bucket
+            counts[sid] = dict.fromkeys(("holds", "fails", "precondition-not-met"), 0)
+            counts[sid].update(Counter(map(operator.attrgetter("outcome"), bucket)))
     summary = {
         "type": "summary",
         "statements": counts,

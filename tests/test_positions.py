@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 from genpos import families, positions
 from genpos.errors import DomainError, GenposError
 from genpos.graph6 import write_graph6
-from genpos.graphs import Graph, all_pairs_distances, clear_memos, is_connected, iter_bits
+from genpos.graphs import (
+    Graph,
+    all_pairs_distances,
+    clear_memos,
+    false_twin_classes,
+    is_connected,
+    iter_bits,
+    join,
+)
 from genpos.positions import (
     CROSS_CHECK_CAPS,
     compute_bundle,
@@ -314,6 +322,61 @@ def test_gp_search_witnesses_on_true_twins(g, gp_witness, dual_witness):
     assert positions._max_dual_characterization(dm) == (
         len(dual_witness), frozenset(dual_witness))
     assert max_dual_oracle(dm)[0] == len(dual_witness)
+
+
+def first_largest(dm, accepts):
+    """The first largest set in combinations order that ``accepts``."""
+    return next(x for k in range(dm.n, -1, -1)
+                for x in itertools.combinations(range(dm.n), k) if accepts(dm, x))
+
+
+@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1),
+       source=st.integers(0), copies=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_gp_search_with_a_planted_false_twin_class(n, bits, source, copies):
+    # Copy the open neighbourhood of one vertex onto 1-3 new vertices, so
+    # they and it are false twins; both modes still return the first largest
+    # set in combinations order that passes the definition-level predicate.
+    # bits ranges over every edge set of order 7, so dense bases are drawn too.
+    g = random_connected(n, bits)
+    s = source % n
+    nbrs = [u for u in range(n) if g.adj[s] >> u & 1]
+    g = Graph.from_edges(n + copies, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if g.adj[u] >> v & 1]
+                         + [(u, w) for w in range(n, n + copies) for u in nbrs])
+    planted = {s, *range(n, n + copies)}
+    assert any(planted <= set(c) for c in false_twin_classes(g.adj))
+    dm = all_pairs_distances(g)
+    for dual, accepts in ((False, is_general_position), (True, is_dual_gp)):
+        first = first_largest(dm, accepts)
+        assert positions._max_gp_search(dm, dual) == (len(first), frozenset(first))
+
+
+def edgeless(n):
+    return Graph(n, (0,) * n)
+
+
+# Witnesses of the gp search in both modes on graphs made of large false-twin
+# classes (equal open neighbourhoods), as for TWIN_HEAVY_WITNESSES.
+FALSE_TWIN_WITNESSES = [
+    (join(edgeless(3), edgeless(4)), [3, 4, 5, 6], []),
+    (join(edgeless(2), edgeless(2)), [0, 1], [0, 2]),
+    (families.generate(families.parse_family("star:5")), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+    (lexicographic_product(cycle(5), edgeless(3)).graph, [0, 1, 2, 6, 7, 8], []),
+]
+
+
+@pytest.mark.parametrize("g, gp_witness, dual_witness", FALSE_TWIN_WITNESSES,
+                         ids=["K3,4", "K2,2", "star:5", "lex(cycle:5,3K1)"])
+def test_gp_search_witnesses_on_false_twins(g, gp_witness, dual_witness):
+    dm = all_pairs_distances(g)
+    assert max_gp_oracle(dm) == (len(gp_witness), frozenset(gp_witness))
+    assert positions._max_dual_characterization(dm) == (
+        len(dual_witness), frozenset(dual_witness))
+    assert max_dual_oracle(dm)[0] == len(dual_witness)
+    if g.n <= 7:
+        assert list(first_largest(dm, is_general_position)) == gp_witness
+        assert list(first_largest(dm, is_dual_gp)) == dual_witness
 
 
 # --------------------------------------------------------------------------

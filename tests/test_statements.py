@@ -1,6 +1,8 @@
 """Statement catalog, corpus parsing, suite runner."""
 
 import itertools
+import json
+import pickle
 
 import pytest
 
@@ -13,6 +15,7 @@ from genpos.products import lexicographic_product, strong_product
 from genpos.statements import (
     STATEMENTS,
     Corpus,
+    Verdict,
     brute_force_isomorphic,
     check_statement,
     enumerate_connected,
@@ -170,6 +173,59 @@ def test_verdict_json_shape():
     assert j["type"] == "verdict" and j["statement"] == "S1"
     assert j["instance"] == write_graph6(cycle(5))
     assert j["outcome"] == "holds"
+
+
+def test_verdict_unpickles_equal_to_itself():
+    v = Verdict("S12", "Dhc,Bw", "fails", [1, 2], [2, 3],
+                counterexample={"x": [1, 2]}, note="clause i")
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and type(back) is Verdict
+    assert back.to_json() == v.to_json()
+
+
+# to_json omits lhs, rhs and counterexample when they are None and the note
+# when it is empty; falsy values that are not None are kept.
+@pytest.mark.parametrize("fields, extra", [
+    ({}, {}),
+    ({"lhs": 0}, {"lhs": 0}),
+    ({"rhs": []}, {"rhs": []}),
+    ({"counterexample": {}}, {"counterexample": {}}),
+    ({"note": "n"}, {"note": "n"}),
+    ({"lhs": None, "rhs": None, "counterexample": None, "note": ""}, {}),
+])
+def test_verdict_json_omissions(fields, extra):
+    v = Verdict("S1", "Bw", "holds", **fields)
+    assert v.to_json() == {"type": "verdict", "statement": "S1", "instance": "Bw",
+                           "outcome": "holds", **extra}
+
+
+@pytest.mark.parametrize("sid", sorted(STATEMENTS, key=lambda s: int(s[1:])))
+def test_check_statement_returns_a_list_of_verdicts(sid):
+    # A verdict is a tuple, so a bare one where a list is expected would be
+    # flattened into its seven fields by the suite runner.
+    arity = STATEMENTS[sid].arity
+    instance = {"fixed": None, "graph": cycle(5), "pair": (cycle(5), path(3))}[arity]
+    verdicts = check_statement(sid, instance)
+    assert type(verdicts) is list and verdicts
+    assert all(type(v) is Verdict and v.statement == sid for v in verdicts)
+
+
+def test_suite_merge_is_ordered_and_the_same_in_the_pool():
+    # Ids out of numeric order, graph and pair statements, twelve pair groups:
+    # the pool and the serial run give the same lines, sorted by statement
+    # number and then by instance.
+    c = parse_corpus("pairs:family:path:2,path:3,cycle:4xexhaustive:3")
+    ids = ["S20", "S9", "S1", "S12"]
+    v1, s1 = run_suite(c, ids, jobs=1)
+    v2, s2 = run_suite(c, ids, jobs=2)
+    lines = [json.dumps(v.to_json(), sort_keys=True) for v in v1]
+    assert lines == [json.dumps(v.to_json(), sort_keys=True) for v in v2]
+    assert s1 == s2
+    keys = [(int(v.statement[1:]), v.instance) for v in v1]
+    assert keys == sorted(keys)
+    assert list(dict.fromkeys(v.statement for v in v1)) == ["S1", "S9", "S12", "S20"]
+    assert list(s1["statements"]) == ["S1", "S9", "S12", "S20"]
+    assert s1["total"] == len(v1) == len(c.derived_graphs()) + 3 * len(c.pairs) == 6 + 36
 
 
 def test_suite_on_exhaustive_4_has_no_unexpected_fails():
