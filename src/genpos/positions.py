@@ -21,10 +21,10 @@ that can still join X, shrunk by the blocker and shadow tables when a vertex
 joins, by the geodesic hull of the excluded vertices in dual mode, and by
 the twin rule for twins with equal closed or equal open neighbourhoods (a
 twin is offered only after its lower twins); a child that cannot beat the
-best size is never entered.  Dual mode grows the hull
-from the vertices outside it, and tests the complement of each accepted set
-for convexity, both through ``rowunion`` and ``shadow`` rather than over
-pairs of ``blockers``.  It also reads the split-pair lemma: when x is in a
+best size is never entered.  Dual mode grows the hull from the vertices
+outside it, and tests the complement of each accepted set for convexity,
+both through ``rowunion`` and ``shadow`` rather than over pairs of
+``blockers``.  It also reads the split-pair lemma: when x is in a
 dual set X, every pair with x strictly inside one of its geodesics has one
 end in X and the other outside.  So a vertex whose split pairs form a graph
 that is not bipartite is never offered, and a branch ends once a vertex that
@@ -47,13 +47,13 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     basic_counts,
+    false_twin_classes,
     from_mask,
     group_memo,
     is_connected,
     require_connected,
     simplicial_vertices,
     to_mask,
-    false_twin_classes,
     true_twin_classes,
 )
 

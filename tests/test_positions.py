@@ -257,6 +257,12 @@ def labeled_connected(n):
             yield g
 
 
+def first_largest(dm, accepts):
+    """The first largest set in combinations order that ``accepts``."""
+    return next(x for k in range(dm.n, -1, -1)
+                for x in itertools.combinations(range(dm.n), k) if accepts(dm, x))
+
+
 def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
     # Both modes return the first largest set in combinations order that
     # passes the definition-level predicate, on all 38 + 728 labeled
@@ -266,8 +272,7 @@ def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
     for g in graphs:
         dm = all_pairs_distances(g)
         for dual, accepts in ((False, is_general_position), (True, is_dual_gp)):
-            first = next(x for k in range(g.n, -1, -1)
-                         for x in itertools.combinations(range(g.n), k) if accepts(dm, x))
+            first = first_largest(dm, accepts)
             assert positions._max_gp_search(dm, dual) == (len(first), frozenset(first))
 
 
@@ -322,12 +327,6 @@ def test_gp_search_witnesses_on_true_twins(g, gp_witness, dual_witness):
     assert positions._max_dual_characterization(dm) == (
         len(dual_witness), frozenset(dual_witness))
     assert max_dual_oracle(dm)[0] == len(dual_witness)
-
-
-def first_largest(dm, accepts):
-    """The first largest set in combinations order that ``accepts``."""
-    return next(x for k in range(dm.n, -1, -1)
-                for x in itertools.combinations(range(dm.n), k) if accepts(dm, x))
 
 
 @given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1),
