@@ -19,8 +19,7 @@ import sys
 
 from genpos.errors import GenposError
 from genpos.graph6 import write_graph6
-from genpos.graphs import all_pairs_distances
-from genpos.positions import max_gp_oracle
+from genpos.positions import invariant
 from genpos.products import strong_product
 from genpos.statements import enumerate_connected
 
@@ -31,7 +30,7 @@ def scan(args) -> int:
         graphs.extend(enumerate_connected(n))
     gp = {}
     for g in graphs:
-        gp[g] = max_gp_oracle(all_pairs_distances(g))[0]
+        gp[g] = invariant("gp", g)[0]
 
     checked = 0
     gaps = 0
@@ -40,7 +39,7 @@ def scan(args) -> int:
             if g.n * h.n > args.product_cap:
                 continue
             prod = strong_product(g, h).graph
-            val = max_gp_oracle(all_pairs_distances(prod))[0]
+            val = invariant("gp", prod)[0]
             checked += 1
             if val != gp[g] * gp[h]:
                 gaps += 1

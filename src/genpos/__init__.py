@@ -14,7 +14,7 @@ from .errors import (
 )
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, all_pairs_distances
-from .positions import compute_bundle, gp_dual, gp_number, gp_outer, gp_total
+from .positions import INVARIANTS, compute_bundle, invariant
 from .products import lexicographic_product, strong_product
 from .statements import STATEMENTS, check_statement, parse_corpus, run_suite
 
@@ -29,10 +29,8 @@ __all__ = [
     "parse_graph6",
     "write_graph6",
     "compute_bundle",
-    "gp_number",
-    "gp_total",
-    "gp_outer",
-    "gp_dual",
+    "INVARIANTS",
+    "invariant",
     "strong_product",
     "lexicographic_product",
     "STATEMENTS",

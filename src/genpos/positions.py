@@ -6,14 +6,14 @@ set-equality phrasing of positionability cannot hold when an endpoint is
 outside X, while the outer/dual notions quantify over exactly such pairs;
 the interior reading makes all four notions coherent and is used throughout.
 
-Two engines are provided for the maxima: definition-level oracles, and
-characterization engines (simplicial count, clique number of the strong
-resolving graph, convex-complement search).  They must agree: ``invariant``
-recomputes gp_t, gp_o and gp_d with the other engine up to the orders in
-``CROSS_CHECK_CAPS`` and raises on a disagreement.  The total and outer
-oracles read only the geodesic interiors that the BFS records per source
-(``DistanceMatrix.rowunion``); the gp and dual oracles read the pairwise
-blocker masks.
+``INVARIANTS`` holds the mask predicate, the engines and the cross-check cap
+of each of gp, gp_t, gp_o and gp_d; ``invariant`` serves all four from it.
+gp has one engine, the gp search.  gp_t, gp_o and gp_d have definition-level
+oracles and characterization engines (simplicial count, clique number of the
+strong resolving graph, convex-complement search), which must agree up to
+the cap.  The total and outer oracles read only the geodesic interiors that
+the BFS records per source (``DistanceMatrix.rowunion``); the gp and dual
+oracles read the pairwise blocker masks.
 
 One branch-and-bound, ``_max_gp_search``, computes gp and, in its dual mode,
 the convex-complement search for gp_d.  It carries the mask of the vertices
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import cliques, resolving
 from .errors import GenposError
@@ -47,6 +47,7 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     basic_counts,
+    distances,
     false_twin_classes,
     from_mask,
     group_memo,
@@ -85,7 +86,7 @@ def is_dual_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
 
 
 def is_total_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
-    return not dm.all_blockers_union() & to_mask(X)
+    return _is_total_mask(dm, to_mask(X))
 
 
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
@@ -131,6 +132,10 @@ def _is_outer_mask(dm: DistanceMatrix, xmask: int) -> bool:
 def _is_dual_mask(dm: DistanceMatrix, xmask: int) -> bool:
     comp = ~xmask & ((1 << dm.n) - 1)
     return _is_gp_mask(dm, xmask) and _pairs_avoid(dm.blockers, comp, xmask)
+
+
+def _is_total_mask(dm: DistanceMatrix, xmask: int) -> bool:
+    return not dm.all_blockers_union() & xmask
 
 
 # ---------------------------------------------------------------------------
@@ -456,63 +461,73 @@ def _max_dual_characterization(dm: DistanceMatrix) -> tuple[int, frozenset[int]]
     return _max_gp_search(dm, True)
 
 
-def gp_number(g: Graph) -> tuple[int, frozenset[int]]:
-    return max_gp_oracle(require_connected(g, "gp_number"))
+# ---------------------------------------------------------------------------
+# the four invariants
 
 
-def gp_total(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
-    dm = require_connected(g, "gp_total")
-    if engine == "oracle":
-        return max_total_oracle(dm)
+class Invariant(NamedTuple):
+    """How ``invariant`` computes and checks one of the four numbers.
+
+    ``accepts(dm, xmask)`` is the definition-level predicate of its sets;
+    ``characterization`` and ``oracle`` are its engines on a connected graph
+    (``oracle`` is None while the number has one engine); ``cap`` is the
+    largest order at which both engines run (None: every order)."""
+
+    accepts: Callable[[DistanceMatrix, int], bool]
+    characterization: Callable[[Graph], tuple[int, frozenset[int]]]
+    oracle: Callable[[Graph], tuple[int, frozenset[int]]] | None
+    cap: int | None
+
+
+def _simplicial(g: Graph) -> tuple[int, frozenset[int]]:
     s = simplicial_vertices(g)
     return len(s), s
 
 
-def gp_outer(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
-    dm = require_connected(g, "gp_outer")
-    if engine == "oracle":
-        return max_outer_oracle(dm)
-    return cliques.max_clique(resolving.srs(g))
+# The engines look their solvers up through this module's names at call
+# time, so wrappers placed on those names see every call.
+INVARIANTS = {
+    "gp": Invariant(_is_gp_mask, lambda g: max_gp_oracle(distances(g)), None, None),
+    "gp_t": Invariant(_is_total_mask, _simplicial,
+                      lambda g: max_total_oracle(distances(g)), None),
+    "gp_o": Invariant(_is_outer_mask, lambda g: cliques.max_clique(resolving.srs(g)),
+                      lambda g: max_outer_oracle(distances(g)), 40),
+    "gp_d": Invariant(_is_dual_mask, lambda g: _max_dual_characterization(distances(g)),
+                      lambda g: max_dual_oracle(distances(g)), 16),
+}
 
 
-def gp_dual(g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
-    dm = require_connected(g, "gp_dual")
-    if engine == "oracle":
-        return max_dual_oracle(dm)
-    return _max_dual_characterization(dm)
+def invariant(key: str, g: Graph, engine: str = "characterization") -> tuple[int, frozenset[int]]:
+    """``INVARIANTS[key]`` of a connected graph with its witness, by
+    ``engine`` ("characterization" or "oracle").  Up to the entry's cap the
+    other engine recomputes the value and must agree; at every order the
+    witness must have that size and pass the entry's predicate.  A failed
+    check raises GenposError.  gp has one engine, which serves both names.
 
-
-# ---------------------------------------------------------------------------
-# cross-checked invariants
-
-# Largest order at which the other engine recomputes each invariant (None:
-# every order); above it only the requested engine runs.
-CROSS_CHECK_CAPS = {"gp_t": None, "gp_o": 40, "gp_d": 16}
+    Memoized per group (``graphs.group_memo``): a failed check raises on
+    every call, since the memo stores no exception."""
+    if INVARIANTS[key].oracle is None:
+        engine = "characterization"
+    return _checked(key, g, engine)
 
 
 @group_memo
-def invariant(
-    key: str,
-    g: Graph,
-    engine: str = "characterization",
-) -> tuple[int, frozenset[int]]:
-    """gp_t, gp_o or gp_d of a connected graph with its witness, recomputed by
-    the other engine up to ``CROSS_CHECK_CAPS[key]``; they must agree.
-
-    Memoized per group (``graphs.group_memo``): a disagreement raises on
-    every call, since the memo stores no exception."""
-    # looked up per call, so wrappers placed on the module names see the calls
-    compute = {"gp_t": gp_total, "gp_o": gp_outer, "gp_d": gp_dual}[key]
-    size, witness = compute(g, engine=engine)
-    cap = CROSS_CHECK_CAPS[key]
-    if cap is None or g.n <= cap:
-        other = "oracle" if engine != "oracle" else "characterization"
-        check, _ = compute(g, engine=other)
+def _checked(key: str, g: Graph, engine: str) -> tuple[int, frozenset[int]]:
+    entry = INVARIANTS[key]
+    dm = require_connected(g, key)
+    engines = {"characterization": entry.characterization, "oracle": entry.oracle}
+    size, witness = engines[engine](g)
+    if entry.oracle is not None and (entry.cap is None or g.n <= entry.cap):
+        other = "oracle" if engine == "characterization" else "characterization"
+        check, _ = engines[other](g)
         if check != size:
             raise GenposError(
                 f"{key} engine disagreement on {write_graph6(g)}: "
                 f"{engine}={size}, {other}={check}"
             )
+    if len(witness) != size or not entry.accepts(dm, to_mask(witness)):
+        raise GenposError(f"{key} {engine} witness {sorted(witness)} on "
+                          f"{write_graph6(g)} is not a {key} set of size {size}")
     return size, witness
 
 
@@ -531,8 +546,7 @@ def compute_bundle(
     diam = dm.diameter
     omega, omega_w = cliques.max_clique(g)
     alpha, alpha_w = cliques.independence_number(g)
-    gp, gp_w = max_gp_oracle(dm)
-    vals = {key: invariant(key, g, engine=engine) for key in CROSS_CHECK_CAPS}
+    vals = {key: invariant(key, g, engine=engine) for key in INVARIANTS}
     bundle = {
         "n": n,
         "n1": n1,
@@ -541,10 +555,7 @@ def compute_bundle(
         "b": len(resolving.boundary(g)),
         "omega": omega,
         "alpha": alpha,
-        "gp": gp,
-        "gp_t": vals["gp_t"][0],
-        "gp_o": vals["gp_o"][0],
-        "gp_d": vals["gp_d"][0],
+        **{key: size for key, (size, _) in vals.items()},
     }
     if diam >= 2:
         bundle["alpha_km1"] = cliques.alpha_k(g, diam - 1)[0]
@@ -554,10 +565,7 @@ def compute_bundle(
         bundle["witnesses"] = {
             "omega": sorted(omega_w),
             "alpha": sorted(alpha_w),
-            "gp": sorted(gp_w),
-            "gp_t": sorted(vals["gp_t"][1]),
-            "gp_o": sorted(vals["gp_o"][1]),
-            "gp_d": sorted(vals["gp_d"][1]),
+            **{key: sorted(w) for key, (_, w) in vals.items()},
         }
     return bundle
 

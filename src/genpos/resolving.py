@@ -41,7 +41,7 @@ def strong_resolving_graph(g: Graph) -> Graph:
 @group_memo
 def srs(g: Graph) -> Graph:
     """``strong_resolving_graph(g)``, built once per group for every reader
-    (the statements and ``positions.gp_outer``)."""
+    (the statements and the gp_o entry of ``positions.INVARIANTS``)."""
     return strong_resolving_graph(g)
 
 

@@ -15,9 +15,9 @@ fails: the statements are proved facts, so a failing verdict flags an
 implementation bug.  The one documented exception is S17 on
 ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the value is
 1; see ``check_s17``), so a full run reports exactly that one fail.
-gp_t, gp_o and gp_d values feeding a verdict come from
-``positions.invariant``, which cross-checks the two engines up to the orders
-in ``positions.CROSS_CHECK_CAPS``.
+gp, gp_t, gp_o and gp_d values and sets feeding a verdict come from
+``positions.invariant``, which cross-checks the two engines up to the caps in
+``positions.INVARIANTS`` and tests every witness with its predicate.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .graphs import (
     join,
     remove_true_twin_edges,
     simplicial_vertices,
+    to_mask,
     true_twin_pairs,
     universal_vertices,
 )
@@ -444,18 +445,8 @@ def check_s21(verdict, g: Graph) -> Verdict:
 @statement("S5", "pair", "restriction to an isometric layer preserves all four properties", strong=16)
 def check_s5(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     dm = distances(pg.graph)
-    sets = {
-        "gp": positions.max_gp_oracle(dm)[1],
-        "outer": positions.max_outer_oracle(dm)[1],
-        "dual": positions.max_dual_oracle(dm)[1],
-        "total": positions.max_total_oracle(dm)[1],
-    }
-    predicates = {
-        "gp": positions.is_general_position,
-        "outer": positions.is_outer_gp,
-        "dual": positions.is_dual_gp,
-        "total": positions.is_total_gp,
-    }
+    sets = {key: positions.invariant(key, pg.graph, engine="oracle")[1]
+            for key in positions.INVARIANTS}
     # The G-layer at b induces G under a -> (a, b), the H-layer at a induces
     # H under b -> (a, b); a layer is isometric when its rows of the product
     # distances are the factor's distances.
@@ -465,10 +456,10 @@ def check_s5(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     for dm_factor, labels in layers:
         if [[dm.dist[u][v] for v in labels] for u in labels] != dm_factor.dist:
             return verdict("fails", counterexample=labels, note="layer is not isometric")
-        for name, X in sets.items():
+        for key, X in sets.items():
             restricted = [i for i, u in enumerate(labels) if u in X]
-            if not predicates[name](dm_factor, restricted):
-                return verdict("fails", lhs=name, counterexample=restricted,
+            if not positions.INVARIANTS[key].accepts(dm_factor, to_mask(restricted)):
+                return verdict("fails", lhs=key, counterexample=restricted,
                                note="restriction lost the property on a layer")
             checked += 1
     return verdict("holds", lhs=checked, rhs=checked, note="property-layer checks")
@@ -525,8 +516,9 @@ def check_s13(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
 def check_s14(verdict) -> list[Verdict]:
     c5 = _family("cycle:5")
     prod = strong_product(c5, c5).graph
-    char, _ = positions.gp_outer(prod)
-    oracle, _ = positions.gp_outer(prod, engine="oracle")
+    outer = positions.INVARIANTS["gp_o"]
+    char, _ = outer.characterization(prod)
+    oracle, _ = outer.oracle(prod)
     return [_equalities(partial(verdict, "strong(cycle:5,cycle:5)"), {
         "characterization": (char, 5),
         "oracle": (oracle, 5),

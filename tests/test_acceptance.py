@@ -104,8 +104,9 @@ def test_criterion_03_strong_outer_bounds():
 def test_criterion_04_c5_strong_square_outer_is_5():
     c5 = emit(families.generate(families.parse_family("cycle:5")))
     prod = emit(strong_product(c5, c5).graph)
-    char = positions.gp_outer(prod)[0]
-    oracle = positions.gp_outer(prod, engine="oracle")[0]
+    outer = positions.INVARIANTS["gp_o"]
+    char = outer.characterization(prod)[0]
+    oracle = outer.oracle(prod)[0]
     report(4, char == oracle == 5,
            f"gp_o(C5 strong C5): characterization={char}, oracle={oracle}")
 

@@ -74,12 +74,12 @@ def test_from_edges_rejects_endpoints_outside_the_order():
 
 
 def test_graph_built_from_a_list_hashes_like_a_tuple():
-    from genpos.positions import gp_outer
+    from genpos.positions import invariant
 
     listed, tupled = Graph(3, [0b110, 0b101, 0b011]), Graph(3, (0b110, 0b101, 0b011))
     assert listed == tupled and hash(listed) == hash(tupled)
     assert isinstance(listed.adj, tuple)
-    assert gp_outer(listed) == gp_outer(tupled) == (3, frozenset({0, 1, 2}))
+    assert invariant("gp_o", listed) == invariant("gp_o", tupled) == (3, frozenset({0, 1, 2}))
 
 
 def test_mask_round_trip():

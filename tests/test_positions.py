@@ -18,14 +18,11 @@ from genpos.graphs import (
     is_connected,
     iter_bits,
     join,
+    to_mask,
 )
 from genpos.positions import (
-    CROSS_CHECK_CAPS,
+    INVARIANTS,
     compute_bundle,
-    gp_dual,
-    gp_number,
-    gp_outer,
-    gp_total,
     invariant,
     is_convex,
     is_dual_gp,
@@ -113,7 +110,7 @@ def test_total_on_paths():
 # oracles versus exhaustive subset enumeration
 
 
-@given(n=st.integers(2, 6), bits=st.integers(0))
+@given(n=st.integers(2, 6), bits=st.integers(0, (1 << 15) - 1))
 @settings(max_examples=60, deadline=None)
 def test_oracles_match_subset_enumeration(n, bits):
     g = random_connected(n, bits)
@@ -135,34 +132,29 @@ def test_oracles_match_subset_enumeration(n, bits):
 # engine agreement (characterization vs definition)
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0))
+@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
 @settings(max_examples=80, deadline=None)
 def test_engines_agree(n, bits):
     g = random_connected(n, bits)
     dm = all_pairs_distances(g)
-    table = {gp_total: is_total_gp, gp_outer: is_outer_gp, gp_dual: is_dual_gp}
-    for solver, predicate in table.items():
-        a, wa = solver(g, engine="characterization")
-        b, wb = solver(g, engine="oracle")
-        assert a == b
-        for witness in (wa, wb):
-            assert len(witness) == a and predicate(dm, witness)
+    for entry in INVARIANTS.values():
+        results = [engine(g) for engine in (entry.characterization, entry.oracle) if engine]
+        for size, witness in results:
+            assert size == results[0][0]
+            assert len(witness) == size and entry.accepts(dm, to_mask(witness))
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
+@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1))
 @settings(max_examples=50, deadline=None)
 def test_invariant_chain(n, bits):
     g = random_connected(n, bits)
-    gp = gp_number(g)[0]
-    t = gp_total(g)[0]
-    o = gp_outer(g)[0]
-    d = gp_dual(g)[0]
+    gp, t, o, d = (invariant(key, g)[0] for key in ("gp", "gp_t", "gp_o", "gp_d"))
     # a total set is both an outer and a dual set; all are gp sets
     assert t <= o <= gp
     assert t <= d <= gp
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
+@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1))
 @settings(max_examples=40, deadline=None)
 def test_gp_and_outer_are_hereditary(n, bits):
     g = random_connected(n, bits)
@@ -185,7 +177,7 @@ def test_gp_and_outer_are_hereditary(n, bits):
 def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
     g = build(families.generate(families.parse_family(a)),
               families.generate(families.parse_family(b))).graph
-    assert g.n > CROSS_CHECK_CAPS["gp_d"]
+    assert g.n > INVARIANTS["gp_d"].cap
     dm = all_pairs_distances(g)
     size, witness = positions._max_dual_characterization(dm)
     assert size == max_dual_oracle(dm)[0] == expected
@@ -222,7 +214,7 @@ def test_split_filter_reach():
     assert positions._never_dual(all_pairs_distances(square)) == (1 << 64) - 1
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0))
+@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
 @settings(max_examples=200, deadline=None)
 def test_dual_search_prunes_against_the_definition(n, bits):
     g = random_connected(n, bits)
@@ -237,7 +229,7 @@ def test_dual_search_prunes_against_the_definition(n, bits):
     assert positions._max_dual_characterization(dm) == (k, frozenset(first))
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0))
+@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
 @settings(max_examples=200, deadline=None)
 def test_gp_search_against_the_definition(n, bits):
     g = random_connected(n, bits)
@@ -287,7 +279,7 @@ def closure(dm, mask):
         mask = grown
 
 
-@given(n=st.integers(2, 10), bits=st.integers(0), start=st.integers(0),
+@given(n=st.integers(2, 10), bits=st.integers(0, (1 << 45) - 1), start=st.integers(0),
        add=st.integers(0), other=st.integers(0))
 @settings(max_examples=200, deadline=None)
 def test_shadow_kernels_against_the_definition(n, bits, start, add, other):
@@ -383,13 +375,13 @@ def test_gp_search_witnesses_on_false_twins(g, gp_witness, dual_witness):
 
 
 def test_known_values():
-    assert gp_number(complete(5))[0] == 5
-    assert gp_number(path(6))[0] == 2
-    assert gp_number(cycle(4))[0] == 2
-    assert gp_number(cycle(5))[0] == 3
-    assert gp_total(path(4))[0] == 2
-    assert gp_outer(cycle(5))[0] == 2
-    assert gp_dual(complete(4))[0] == 4
+    assert invariant("gp", complete(5))[0] == 5
+    assert invariant("gp", path(6))[0] == 2
+    assert invariant("gp", cycle(4))[0] == 2
+    assert invariant("gp", cycle(5))[0] == 3
+    assert invariant("gp_t", path(4))[0] == 2
+    assert invariant("gp_o", cycle(5))[0] == 2
+    assert invariant("gp_d", complete(4))[0] == 4
 
 
 def _nx_between(g, nx):
@@ -436,8 +428,9 @@ def test_cycle_plus_dual_matches_networkx_brute_force():
               for n in range(3, 10)]
     expected = [3, 2, 3, 1, 1, 1, 1]
     assert [_brute_gp_dual(g, nx) for g in graphs] == expected
-    assert [gp_dual(g, engine="oracle")[0] for g in graphs] == expected
-    assert [gp_dual(g)[0] for g in graphs] == expected
+    dual = INVARIANTS["gp_d"]
+    assert [dual.oracle(g)[0] for g in graphs] == expected
+    assert [dual.characterization(g)[0] for g in graphs] == expected
 
 
 def test_gp_oracle_matches_networkx_brute_force():
@@ -464,7 +457,7 @@ def test_gp_oracle_matches_networkx_brute_force():
 ], ids=["C7xC7", "C8xC8"])
 def test_gp_of_strong_squares_of_cycles(m, size, witness):
     # gp(C7 x C7) = 10 exceeds gp(C7)^2 = 9; C8 x C8 meets gp(C8)^2 = 9
-    assert gp_number(cycle(m))[0] == 3
+    assert invariant("gp", cycle(m))[0] == 3
     g = strong_product(cycle(m), cycle(m)).graph
     dm = all_pairs_distances(g)
     assert max_gp_oracle(dm) == (size, frozenset(witness))
@@ -478,9 +471,9 @@ def test_gp_of_strong_squares_of_cycles(m, size, witness):
 
 def test_connected_required():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    for fn in (gp_number, gp_total, gp_outer, gp_dual):
+    for key in INVARIANTS:
         with pytest.raises(DomainError):
-            fn(g)
+            invariant(key, g)
 
 
 # --------------------------------------------------------------------------
@@ -542,29 +535,63 @@ def test_cross_check_catches_an_outer_disagreement(monkeypatch):
 def test_cross_check_raises_on_every_call(monkeypatch):
     # invariant is memoized, but a disagreement is never stored
     c10 = cycle(10)
-    monkeypatch.setattr(positions, "max_outer_oracle",
-                        _off_by_one(positions.max_outer_oracle))
-    expected = _disagreement("gp_o", c10, "characterization=2", "oracle=3")
-    for _ in range(2):
-        with pytest.raises(GenposError, match=expected):
-            invariant("gp_o", c10)
+    for key, solver, values in [
+        ("gp_o", "max_outer_oracle", ("characterization=2", "oracle=3")),
+        ("gp_t", "max_total_oracle", ("characterization=0", "oracle=1")),
+    ]:
+        monkeypatch.setattr(positions, solver, _off_by_one(getattr(positions, solver)))
+        expected = _disagreement(key, c10, *values)
+        for _ in range(2):
+            with pytest.raises(GenposError, match=expected):
+                invariant(key, c10)
+
+
+def _counting(engine, calls, name):
+    def counted(g):
+        calls.append(name)
+        return engine(g)
+    return counted
 
 
 def test_invariant_is_memoized_until_the_memos_are_cleared(monkeypatch):
     calls = []
-    original = positions.gp_outer
-
-    def counting(g, engine="characterization"):
-        calls.append(engine)
-        return original(g, engine=engine)
-
-    monkeypatch.setattr(positions, "gp_outer", counting)
+    entry = INVARIANTS["gp_o"]
+    monkeypatch.setitem(INVARIANTS, "gp_o", entry._replace(
+        characterization=_counting(entry.characterization, calls, "characterization"),
+        oracle=_counting(entry.oracle, calls, "oracle")))
     first = invariant("gp_o", cycle(7))
     assert invariant("gp_o", cycle(7)) is first
     assert calls == ["characterization", "oracle"]
     clear_memos()
     assert invariant("gp_o", cycle(7)) == first
     assert len(calls) == 4
+
+
+def test_gp_computes_once_for_both_engine_names(monkeypatch):
+    calls = []
+    monkeypatch.setattr(positions, "max_gp_oracle",
+                        _counting(positions.max_gp_oracle, calls, "gp"))
+    first = invariant("gp", cycle(7), engine="oracle")
+    assert invariant("gp", cycle(7)) is first
+    assert first == (3, frozenset({0, 1, 4}))
+    assert calls == ["gp"]
+
+
+def test_invariant_checks_every_witness(monkeypatch):
+    # gp has no second engine: the witness check alone catches a wrong set
+    monkeypatch.setattr(positions, "max_gp_oracle", lambda dm: (3, frozenset({0, 1, 2})))
+    with pytest.raises(GenposError, match=re.escape("gp characterization witness [0, 1, 2]")):
+        invariant("gp", path(4))
+    monkeypatch.setattr(positions, "max_gp_oracle", lambda dm: (3, frozenset({0, 3})))
+    with pytest.raises(GenposError, match="is not a gp set of size 3"):
+        invariant("gp", path(5))
+    # above the gp_d cap only the requested engine runs, and its witness is
+    # still tested: the complement of one vertex of C17 is not convex
+    c17 = cycle(INVARIANTS["gp_d"].cap + 1)
+    monkeypatch.setattr(positions, "_max_dual_characterization",
+                        lambda dm: (1, frozenset({0})))
+    with pytest.raises(GenposError, match=re.escape(f"on {write_graph6(c17)} is not a gp_d set")):
+        invariant("gp_d", c17)
 
 
 def test_cross_check_catches_a_dual_disagreement_in_s16(monkeypatch):
@@ -578,8 +605,9 @@ def test_cross_check_catches_a_dual_disagreement_in_s16(monkeypatch):
 
 
 def test_cross_check_stops_above_its_cap(monkeypatch):
-    cap = CROSS_CHECK_CAPS["gp_d"]
+    cap = INVARIANTS["gp_d"].cap
     monkeypatch.setattr(positions, "max_dual_oracle", _off_by_one(positions.max_dual_oracle))
     with pytest.raises(GenposError, match="gp_d"):
         invariant("gp_d", cycle(cap))
-    assert invariant("gp_d", cycle(cap + 1)) == gp_dual(cycle(cap + 1))
+    assert invariant("gp_d", cycle(cap + 1)) == INVARIANTS["gp_d"].characterization(
+        cycle(cap + 1))

@@ -458,9 +458,10 @@ def test_s5_reports_a_layer_that_is_not_isometric(monkeypatch):
 
 def test_s5_reports_the_lost_property_in_layer_labels(monkeypatch):
     g, h = path(2), path(3)
-    monkeypatch.setattr(positions, "is_dual_gp", lambda dm, X: dm.n != h.n)
+    dual = positions.INVARIANTS["gp_d"]._replace(accepts=lambda dm, xmask: dm.n != h.n)
+    monkeypatch.setitem(positions.INVARIANTS, "gp_d", dual)
     [v] = check_statement("S5", (g, h))
-    assert (v.outcome, v.lhs) == ("fails", "dual")
+    assert (v.outcome, v.lhs) == ("fails", "gp_d")
     assert v.note == "restriction lost the property on a layer"
     # the G-layers pass; the first H-layer, at a = 0, is {(0, b)} = {0, 1, 2}
     dual = positions.max_dual_oracle(distances(strong_product(g, h).graph))[1]
