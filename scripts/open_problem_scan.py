@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Experimental: scan for pairs where gp(G x H) != gp(G) gp(H) (strong product).
 
-Whether equality always holds is open; this scan is exploratory and is not
-part of the verified statement catalog.  Exact solvers only, so keep the
-product order modest.
+Equality does not always hold: gp(C7 x C7) = 10 while gp(C7)^2 = 9 (pinned
+by ``tests/test_positions.py::test_gp_of_strong_squares_of_cycles``).  The
+default ``--product-cap 16`` never reaches a product of that order (49), and
+the factors are enumerated only up to order 6, so C7 is never a factor; the
+default run reports no gap.  This scan is exploratory and is not part of the
+verified statement catalog.  Exact solvers only, so keep the product order
+modest.
 
 Usage:
     python scripts/open_problem_scan.py --max-n 4

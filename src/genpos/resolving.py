@@ -35,7 +35,7 @@ def boundary(g: Graph) -> frozenset[int]:
 
 def strong_resolving_graph(g: Graph) -> Graph:
     """Edges are the MMD pairs of g."""
-    return Graph(g.n, tuple(require_connected(g, "boundary").mmd))
+    return Graph(g.n, tuple(require_connected(g, "strong_resolving_graph").mmd))
 
 
 @group_memo

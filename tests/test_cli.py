@@ -104,6 +104,12 @@ def test_corpus_stream(capsys):
     assert code == 0 and len(out.splitlines()) == 1
 
 
+def test_corpus_pairs_stream(capsys):
+    code, out, _ = run(capsys, "corpus", "pairs:family:path:2,path:3xexhaustive:2")
+    assert code == 0
+    assert out.splitlines() == ["A_,A_", "Bg,A_"]
+
+
 def test_corpus_cap_exit(capsys):
     code, _, err = run(capsys, "corpus", "exhaustive:7")
     assert code == 2 and err

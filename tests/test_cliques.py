@@ -3,20 +3,13 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from genpos.cliques import alpha_k, independence_number, max_clique
 from genpos.errors import DomainError
-from genpos.families import generate, parse_family
 from genpos.graphs import Graph, all_pairs_distances, complement, is_connected
 from genpos.products import strong_product
-
-
-def random_graph(n, bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    bits %= 1 << len(pairs)
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    return Graph.from_edges(n, edges)
+from graph_builders import family, graphs, random_graph
 
 
 def brute_clique(g):
@@ -28,20 +21,18 @@ def brute_clique(g):
     return best
 
 
-@given(n=st.integers(1, 9), bits=st.integers(0))
+@given(g=graphs(1, 9))
 @settings(max_examples=120, deadline=None)
-def test_max_clique_matches_brute_force(n, bits):
-    g = random_graph(n, bits)
+def test_max_clique_matches_brute_force(g):
     size, witness = max_clique(g)
     assert size == brute_clique(g)
     assert len(witness) == size
     assert all(g.has_edge(u, v) for u, v in combinations(sorted(witness), 2))
 
 
-@given(n=st.integers(1, 9), bits=st.integers(0))
+@given(g=graphs(1, 9))
 @settings(max_examples=60, deadline=None)
-def test_independence_is_clique_of_complement(n, bits):
-    g = random_graph(n, bits)
+def test_independence_is_clique_of_complement(g):
     size, witness = independence_number(g)
     assert all(not g.has_edge(u, v) for u, v in combinations(sorted(witness), 2))
     assert size + 0 == brute_clique(
@@ -65,10 +56,6 @@ def test_clique_and_independence_match_networkx(n, p_milli):
     assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
     assert len(independent) == alpha
     assert all(not g.has_edge(u, v) for u, v in combinations(sorted(independent), 2))
-
-
-def family(text):
-    return generate(parse_family(text))
 
 
 # Witnesses recorded before the search kept its colour classes as masks, on
@@ -95,10 +82,9 @@ def test_max_clique_deterministic_witness():
             assert alpha_k(g, k) == (len(witness), frozenset(witness))
 
 
-@given(bits=st.integers(0))
+@given(g=graphs(7, 7))
 @settings(max_examples=40, deadline=None)
-def test_alpha_k_chain_is_nonincreasing(bits):
-    g = random_graph(7, bits)
+def test_alpha_k_chain_is_nonincreasing(g):
     if not is_connected(g):
         return
     values = [alpha_k(g, k)[0] for k in range(1, 7)]
@@ -106,17 +92,16 @@ def test_alpha_k_chain_is_nonincreasing(bits):
     assert values[0] == independence_number(g)[0]
 
 
-@given(n=st.integers(1, 8), bits=st.integers(0))
+@given(g=graphs(1, 8))
 @settings(max_examples=60, deadline=None)
-def test_alpha_k_matches_brute_force(n, bits):
-    g = random_graph(n, bits)
+def test_alpha_k_matches_brute_force(g):
     if not is_connected(g):
         return
     dist = all_pairs_distances(g).dist
     diam = max(max(row) for row in dist)
     for k in range(1, diam + 2):
         size, witness = alpha_k(g, k)
-        best = max(r for r in range(1, n + 1) for c in combinations(range(n), r)
+        best = max(r for r in range(1, g.n + 1) for c in combinations(range(g.n), r)
                    if all(dist[u][v] > k for u, v in combinations(c, 2)))
         assert size == best == len(witness)
         assert all(dist[u][v] > k for u, v in combinations(sorted(witness), 2))

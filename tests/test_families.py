@@ -3,29 +3,26 @@
 import pytest
 
 from genpos.errors import SpecError
-from genpos.families import generate, parse_family
+from genpos.families import parse_family
 from genpos.graphs import basic_counts, diameter, is_complete, is_connected
-
-
-def gen(text):
-    return generate(parse_family(text))
+from graph_builders import family
 
 
 def test_path_cycle_complete_star():
-    assert gen("path:1").n == 1
-    p5 = gen("path:5")
+    assert family("path:1").n == 1
+    p5 = family("path:5")
     assert p5.num_edges() == 4 and diameter(p5) == 4
-    c6 = gen("cycle:6")
+    c6 = family("cycle:6")
     assert c6.num_edges() == 6 and diameter(c6) == 3
-    assert is_complete(gen("complete:4"))
-    star = gen("star:3")
+    assert is_complete(family("complete:4"))
+    star = family("star:3")
     n, leaves, delta = basic_counts(star)
     assert (n, leaves, delta) == (4, 3, 3)
 
 
 @pytest.mark.parametrize("s,r", [(2, 1), (3, 1), (3, 2), (4, 0)])
 def test_subdivided_star_shape(s, r):
-    g = gen(f"subdivided_star:{s},{r}")
+    g = family(f"subdivided_star:{s},{r}")
     n, leaves, _ = basic_counts(g)
     assert n == 1 + s * (r + 1)
     assert leaves == s
@@ -34,7 +31,7 @@ def test_subdivided_star_shape(s, r):
 
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1)])
 def test_clique_paths_shape(n, t):
-    g = gen(f"clique_paths:{n},{t}")
+    g = family(f"clique_paths:{n},{t}")
     order, leaves, _ = basic_counts(g)
     assert order == n * (t + 1)
     assert leaves == n
@@ -42,23 +39,23 @@ def test_clique_paths_shape(n, t):
 
 
 def test_cycle_plus_shape():
-    g = gen("cycle_plus:5")
+    g = family("cycle_plus:5")
     order, leaves, _ = basic_counts(g)
     assert order == 6 and leaves == 1
     assert g.degree(0) == 3
 
 
 def test_join_spec():
-    g = gen("join:path:1+cycle:4")
+    g = family("join:path:1+cycle:4")
     assert g.n == 5
     assert g.degree(0) == 4
 
 
 def test_random_is_deterministic_and_connected():
-    a = gen("random:8,400,7")
-    b = gen("random:8,400,7")
+    a = family("random:8,400,7")
+    b = family("random:8,400,7")
     assert a == b and is_connected(a)
-    assert gen("random:8,400,8") != a or True  # different seed parses fine
+    assert family("random:8,400,8") != a or True  # different seed parses fine
 
 
 def test_spec_round_trip_str():

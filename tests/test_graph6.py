@@ -1,12 +1,13 @@
 """graph6 codec: known encodings, round trips, precise error offsets."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from genpos import graph6
 from genpos.errors import Graph6Error
 from genpos.graph6 import parse_graph6, write_graph6
 from genpos.graphs import Graph
+from graph_builders import graphs
 
 
 def test_known_encodings():
@@ -23,13 +24,9 @@ def test_known_encodings():
     assert parse_graph6("Dhc") == c5
 
 
-@given(n=st.integers(1, 12), bits=st.integers(0))
+@given(g=graphs(1, 12))
 @settings(max_examples=200, deadline=None)
-def test_round_trip(n, bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    bits %= 1 << len(pairs)
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    g = Graph.from_edges(n, edges)
+def test_round_trip(g):
     assert parse_graph6(write_graph6(g)) == g
 
 

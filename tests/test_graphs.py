@@ -5,7 +5,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from genpos.errors import DomainError
 from genpos.graphs import (
@@ -29,24 +29,7 @@ from genpos.graphs import (
     universal_vertices,
 )
 from genpos.products import strong_product
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def random_graph(n, edge_bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    edges = [p for i, p in enumerate(pairs) if edge_bits >> i & 1]
-    return Graph.from_edges(n, edges)
+from graph_builders import complete, connected_graphs, cycle, graphs, path, random_graph, to_nx
 
 
 def test_construction_rejects_bad_adjacency():
@@ -99,10 +82,9 @@ def floyd_warshall(g):
     return d
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0))
+@given(g=graphs(2, 8))
 @settings(max_examples=120, deadline=None)
-def test_bfs_matches_floyd_warshall(n, bits):
-    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+def test_bfs_matches_floyd_warshall(g):
     dm = all_pairs_distances(g)
     assert dm.dist == floyd_warshall(g)
 
@@ -149,11 +131,11 @@ def assert_rowunion_matches_definition(g):
                 for v in range(g.n)))
 
 
-@given(n=st.integers(1, 10), bits=st.integers(0))
+@given(g=graphs(1, 10))
 @settings(max_examples=80, deadline=None)
-def test_rowunion_against_definition(n, bits):
+def test_rowunion_against_definition(g):
     # no spanning path is grafted: disconnected graphs are drawn too
-    assert_rowunion_matches_definition(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
+    assert_rowunion_matches_definition(g)
 
 
 def assert_blockers_match_definition(g):
@@ -170,10 +152,10 @@ def assert_blockers_match_definition(g):
             assert dm.blockers[u][v] == expected
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
+@given(g=graphs(2, 7))
 @settings(max_examples=80, deadline=None)
-def test_blockers_against_definition(n, bits):
-    assert_blockers_match_definition(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
+def test_blockers_against_definition(g):
+    assert_blockers_match_definition(g)
 
 
 LONG_LAYERS = pytest.mark.parametrize(
@@ -200,11 +182,11 @@ def assert_shadow_is_blocker_transpose(g):
                 w for w in range(g.n) if dm.blockers[u][w] >> v & 1)
 
 
-@given(n=st.integers(1, 10), bits=st.integers(0))
+@given(g=graphs(1, 10))
 @settings(max_examples=80, deadline=None)
-def test_shadow_against_definition(n, bits):
+def test_shadow_against_definition(g):
     # no spanning path is grafted: disconnected graphs are drawn too
-    assert_shadow_is_blocker_transpose(random_graph(n, bits % (1 << (n * (n - 1) // 2))))
+    assert_shadow_is_blocker_transpose(g)
 
 
 @LONG_LAYERS
@@ -212,21 +194,18 @@ def test_shadow_against_definition_on_long_layers(g):
     assert_shadow_is_blocker_transpose(g)
 
 
-@given(n=st.integers(1, 7), bits=st.integers(0))
+@given(g=connected_graphs(1, 7))
 @settings(max_examples=80, deadline=None)
-def test_mmd_against_definition(n, bits):
-    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
-    # graft a spanning path so every sample is connected
-    g = Graph.from_edges(n, g.edges() + [(i, i + 1) for i in range(n - 1)])
+def test_mmd_against_definition(g):
     dm = all_pairs_distances(g)
 
     def maximally_distant(u, v):
         """No neighbour of u is farther from v than u is."""
-        return all(dm.dist[v][w] <= dm.dist[u][v] for w in range(n) if g.adj[u] >> w & 1)
+        return all(dm.dist[v][w] <= dm.dist[u][v] for w in range(g.n) if g.adj[u] >> w & 1)
 
-    for u in range(n):
+    for u in range(g.n):
         expected = to_mask(
-            v for v in range(n)
+            v for v in range(g.n)
             if v != u and maximally_distant(u, v) and maximally_distant(v, u)
         )
         assert dm.mmd[u] == expected
@@ -267,12 +246,11 @@ def test_true_twins_and_removal():
     assert remove_true_twin_edges(p4) == p4
 
 
-@given(n=st.integers(1, 8), bits=st.integers(0))
+@given(g=graphs(1, 8))
 @settings(max_examples=80, deadline=None)
-def test_true_twin_pairs_against_definition(n, bits):
-    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
+def test_true_twin_pairs_against_definition(g):
     assert true_twin_pairs(g) == {
-        (u, v) for u in range(n) for v in range(u + 1, n)
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n)
         if g.closed_neighborhood(u) == g.closed_neighborhood(v)
     }
 
@@ -314,8 +292,7 @@ def test_block_graph_recognition():
 def nx_is_block_graph(nx, g):
     """Connected, and each biconnected block (an induced subgraph) has all
     k(k-1)/2 edges on its k vertices."""
-    G = nx.Graph(g.edges())
-    G.add_nodes_from(range(g.n))
+    G = to_nx(g)
     if not nx.is_connected(G):
         return False
     for edges in nx.biconnected_component_edges(G):
@@ -334,11 +311,10 @@ def test_block_graph_matches_networkx_exhaustive():
             assert is_block_graph(g) == nx_is_block_graph(nx, g), g.adj
 
 
-@given(n=st.integers(1, 12), bits=st.integers(0))
+@given(g=graphs(1, 12))
 @settings(max_examples=200, deadline=None)
-def test_block_graph_matches_networkx_random(n, bits):
+def test_block_graph_matches_networkx_random(g):
     nx = pytest.importorskip("networkx")
-    g = random_graph(n, bits % (1 << (n * (n - 1) // 2)))
     assert is_block_graph(g) == nx_is_block_graph(nx, g)
 
 

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpos import families, positions
+from genpos import positions
 from genpos.errors import DomainError, GenposError
 from genpos.graph6 import write_graph6
 from genpos.graphs import (
@@ -15,7 +15,6 @@ from genpos.graphs import (
     all_pairs_distances,
     clear_memos,
     false_twin_classes,
-    is_connected,
     iter_bits,
     join,
     to_mask,
@@ -37,30 +36,8 @@ from genpos.positions import (
     structure_bundle,
 )
 from genpos.products import lexicographic_product, strong_product
-from genpos.statements import check_statement
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def random_connected(n, bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    bits %= 1 << len(pairs)
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    g = Graph.from_edges(n, edges)
-    if is_connected(g):
-        return g
-    # graft a spanning path so every sampled graph is usable
-    return Graph.from_edges(n, edges + [(i, i + 1) for i in range(n - 1)])
+from genpos.statements import check_statement, enumerate_connected
+from graph_builders import complete, connected_graphs, cycle, family, path, random_connected, to_nx
 
 
 def k4_with_pendant():
@@ -110,10 +87,9 @@ def test_total_on_paths():
 # oracles versus exhaustive subset enumeration
 
 
-@given(n=st.integers(2, 6), bits=st.integers(0, (1 << 15) - 1))
+@given(g=connected_graphs(2, 6))
 @settings(max_examples=60, deadline=None)
-def test_oracles_match_subset_enumeration(n, bits):
-    g = random_connected(n, bits)
+def test_oracles_match_subset_enumeration(g):
     dm = all_pairs_distances(g)
     table = {
         is_general_position: max_gp_oracle,
@@ -122,7 +98,7 @@ def test_oracles_match_subset_enumeration(n, bits):
         is_total_gp: max_total_oracle,
     }
     for predicate, solver in table.items():
-        brute = max(len(s) for s in subsets(n) if predicate(dm, s))
+        brute = max(len(s) for s in subsets(g.n) if predicate(dm, s))
         size, witness = solver(dm)
         assert size == brute
         assert predicate(dm, witness)
@@ -132,10 +108,9 @@ def test_oracles_match_subset_enumeration(n, bits):
 # engine agreement (characterization vs definition)
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
+@given(g=connected_graphs(2, 8))
 @settings(max_examples=80, deadline=None)
-def test_engines_agree(n, bits):
-    g = random_connected(n, bits)
+def test_engines_agree(g):
     dm = all_pairs_distances(g)
     for entry in INVARIANTS.values():
         results = [engine(g) for engine in (entry.characterization, entry.oracle) if engine]
@@ -144,20 +119,18 @@ def test_engines_agree(n, bits):
             assert len(witness) == size and entry.accepts(dm, to_mask(witness))
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1))
+@given(g=connected_graphs(2, 7))
 @settings(max_examples=50, deadline=None)
-def test_invariant_chain(n, bits):
-    g = random_connected(n, bits)
+def test_invariant_chain(g):
     gp, t, o, d = (invariant(key, g)[0] for key in ("gp", "gp_t", "gp_o", "gp_d"))
     # a total set is both an outer and a dual set; all are gp sets
     assert t <= o <= gp
     assert t <= d <= gp
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1))
+@given(g=connected_graphs(2, 7))
 @settings(max_examples=40, deadline=None)
-def test_gp_and_outer_are_hereditary(n, bits):
-    g = random_connected(n, bits)
+def test_gp_and_outer_are_hereditary(g):
     dm = all_pairs_distances(g)
     _, w = max_gp_oracle(dm)
     w = sorted(w)
@@ -175,8 +148,7 @@ def test_gp_and_outer_are_hereditary(n, bits):
     (lexicographic_product, "cycle:5", "complete:6", 12),
 ])
 def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
-    g = build(families.generate(families.parse_family(a)),
-              families.generate(families.parse_family(b))).graph
+    g = build(family(a), family(b)).graph
     assert g.n > INVARIANTS["gp_d"].cap
     dm = all_pairs_distances(g)
     size, witness = positions._max_dual_characterization(dm)
@@ -196,8 +168,7 @@ def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
 ], ids=["lex(cycle:8,complete:8)", "lex(cycle:9,complete:9)", "strong(cycle:8,cycle:8)",
         "lex(cycle:9,path:8)", "lex(cycle:5,complete:6)"])
 def test_recorded_dual_values_of_large_products(build, a, b, size, witness):
-    g = build(families.generate(families.parse_family(a)),
-              families.generate(families.parse_family(b))).graph
+    g = build(family(a), family(b)).graph
     dm = all_pairs_distances(g)
     assert positions._max_dual_characterization(dm) == (size, frozenset(witness))
 
@@ -206,7 +177,7 @@ def test_split_filter_reach():
     # Q_x of a star's centre is a triangle on the leaves: the centre is in no
     # dual set.  In C8 x C8 every Q_x has an odd cycle, so the filter alone
     # settles gp_d = 0.
-    star = families.generate(families.parse_family("star:3"))
+    star = family("star:3")
     [centre] = [v for v in range(star.n) if star.degree(v) == 3]
     assert positions._never_dual(all_pairs_distances(star)) == 1 << centre
     c8 = cycle(8)
@@ -214,39 +185,29 @@ def test_split_filter_reach():
     assert positions._never_dual(all_pairs_distances(square)) == (1 << 64) - 1
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
+@given(g=connected_graphs(2, 8))
 @settings(max_examples=200, deadline=None)
-def test_dual_search_prunes_against_the_definition(n, bits):
-    g = random_connected(n, bits)
+def test_dual_search_prunes_against_the_definition(g):
     dm = all_pairs_distances(g)
-    dual = [x for x in subsets(n) if is_dual_gp(dm, x)]
+    dual = [x for x in subsets(g.n) if is_dual_gp(dm, x)]
     # the split-pair filter excludes only vertices of no dual set
     never = positions._never_dual(dm)
     assert not any(never >> v & 1 for x in dual for v in x)
     # the witness is the first largest dual set in combinations order
     k = max(len(x) for x in dual)
-    first = next(x for x in itertools.combinations(range(n), k) if is_dual_gp(dm, x))
+    first = next(x for x in itertools.combinations(range(g.n), k) if is_dual_gp(dm, x))
     assert positions._max_dual_characterization(dm) == (k, frozenset(first))
 
 
-@given(n=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1))
+@given(g=connected_graphs(2, 8))
 @settings(max_examples=200, deadline=None)
-def test_gp_search_against_the_definition(n, bits):
-    g = random_connected(n, bits)
+def test_gp_search_against_the_definition(g):
     dm = all_pairs_distances(g)
-    k = max(len(x) for x in subsets(n) if is_general_position(dm, x))
+    k = max(len(x) for x in subsets(g.n) if is_general_position(dm, x))
     # the witness is the first largest general position set in combinations order
-    first = next(x for x in itertools.combinations(range(n), k)
+    first = next(x for x in itertools.combinations(range(g.n), k)
                  if is_general_position(dm, x))
     assert max_gp_oracle(dm) == (k, frozenset(first))
-
-
-def labeled_connected(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
-        if is_connected(g):
-            yield g
 
 
 def first_largest(dm, accepts):
@@ -259,7 +220,7 @@ def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
     # Both modes return the first largest set in combinations order that
     # passes the definition-level predicate, on all 38 + 728 labeled
     # connected graphs of these orders.
-    graphs = [g for n in (4, 5) for g in labeled_connected(n)]
+    graphs = [g for n in (4, 5) for g in enumerate_connected(n)]
     assert len(graphs) == 766
     for g in graphs:
         dm = all_pairs_distances(g)
@@ -279,12 +240,12 @@ def closure(dm, mask):
         mask = grown
 
 
-@given(n=st.integers(2, 10), bits=st.integers(0, (1 << 45) - 1), start=st.integers(0),
-       add=st.integers(0), other=st.integers(0))
+@given(g=connected_graphs(2, 10), start=st.integers(0, (1 << 10) - 1),
+       add=st.integers(0, (1 << 10) - 1), other=st.integers(0, (1 << 10) - 1))
 @settings(max_examples=200, deadline=None)
-def test_shadow_kernels_against_the_definition(n, bits, start, add, other):
-    dm = all_pairs_distances(random_connected(n, bits))
-    full = (1 << n) - 1
+def test_shadow_kernels_against_the_definition(g, start, add, other):
+    dm = all_pairs_distances(g)
+    full = (1 << g.n) - 1
     start, add, other = start & full, add & full, other & full
     hull = closure(dm, start)
     assert positions._hull_with(dm.rowunion, dm.shadow, hull, add) == closure(dm, hull | add)
@@ -321,20 +282,17 @@ def test_gp_search_witnesses_on_true_twins(g, gp_witness, dual_witness):
     assert max_dual_oracle(dm)[0] == len(dual_witness)
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0, (1 << 21) - 1),
-       source=st.integers(0), copies=st.integers(1, 3))
+@given(g=connected_graphs(2, 7), source=st.integers(0), copies=st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
-def test_gp_search_with_a_planted_false_twin_class(n, bits, source, copies):
+def test_gp_search_with_a_planted_false_twin_class(g, source, copies):
     # Copy the open neighbourhood of one vertex onto 1-3 new vertices, so
     # they and it are false twins; both modes still return the first largest
     # set in combinations order that passes the definition-level predicate.
-    # bits ranges over every edge set of order 7, so dense bases are drawn too.
-    g = random_connected(n, bits)
+    n = g.n
     s = source % n
     nbrs = [u for u in range(n) if g.adj[s] >> u & 1]
-    g = Graph.from_edges(n + copies, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                      if g.adj[u] >> v & 1]
-                         + [(u, w) for w in range(n, n + copies) for u in nbrs])
+    g = Graph.from_edges(n + copies, g.edges() + [(u, w) for w in range(n, n + copies)
+                                                  for u in nbrs])
     planted = {s, *range(n, n + copies)}
     assert any(planted <= set(c) for c in false_twin_classes(g.adj))
     dm = all_pairs_distances(g)
@@ -352,7 +310,7 @@ def edgeless(n):
 FALSE_TWIN_WITNESSES = [
     (join(edgeless(3), edgeless(4)), [3, 4, 5, 6], []),
     (join(edgeless(2), edgeless(2)), [0, 1], [0, 2]),
-    (families.generate(families.parse_family("star:5")), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+    (family("star:5"), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
     (lexicographic_product(cycle(5), edgeless(3)).graph, [0, 1, 2, 6, 7, 8], []),
 ]
 
@@ -387,8 +345,7 @@ def test_known_values():
 def _nx_between(g, nx):
     """Strict interiors of the u,v-geodesics of a connected graph, for every
     pair u < v, read off networkx's shortest paths."""
-    nxg = nx.Graph(g.edges())
-    nxg.add_nodes_from(range(g.n))
+    nxg = to_nx(g)
     return {
         (u, v): set().union(*(p[1:-1] for p in nx.all_shortest_paths(nxg, u, v)))
         for u, v in itertools.combinations(range(g.n), 2)
@@ -424,8 +381,7 @@ def _brute_gp_dual(g, nx):
 def test_cycle_plus_dual_matches_networkx_brute_force():
     # The catalog statement S17 claims 3; it holds only for n = 3 and n = 5.
     nx = pytest.importorskip("networkx")
-    graphs = [families.generate(families.parse_family(f"cycle_plus:{n}"))
-              for n in range(3, 10)]
+    graphs = [family(f"cycle_plus:{n}") for n in range(3, 10)]
     expected = [3, 2, 3, 1, 1, 1, 1]
     assert [_brute_gp_dual(g, nx) for g in graphs] == expected
     dual = INVARIANTS["gp_d"]
@@ -441,7 +397,7 @@ def test_gp_oracle_matches_networkx_brute_force():
     graphs = [
         lexicographic_product(path(3), complete(2)).graph,
         strong_product(complete(2), path(3)).graph,
-        families.generate(families.parse_family("cycle_plus:5")),
+        family("cycle_plus:5"),
         k4_with_pendant(),
     ] + [random_connected(rng.randint(2, 7), rng.getrandbits(21)) for _ in range(60)]
     for g in graphs:
@@ -463,7 +419,7 @@ def test_gp_of_strong_squares_of_cycles(m, size, witness):
     assert max_gp_oracle(dm) == (size, frozenset(witness))
     assert is_general_position(dm, witness)
     nx = pytest.importorskip("networkx")
-    d = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
+    d = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
     assert not any(d[a][u] + d[u][b] == d[a][b]
                    for a, b in itertools.combinations(witness, 2)
                    for u in witness if u not in (a, b))

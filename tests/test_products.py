@@ -1,11 +1,10 @@
 """Product constructions: distance formula, neighborhoods, codec, layers."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from genpos.errors import CapacityError
 from genpos.graphs import (
-    Graph,
     all_pairs_distances,
     is_connected,
 )
@@ -14,25 +13,7 @@ from genpos.products import (
     strong_product,
 )
 from genpos.statements import brute_force_isomorphic
-
-
-def random_connected(n, bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    bits %= 1 << len(pairs)
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    g = Graph.from_edges(n, edges)
-    if is_connected(g):
-        return g
-    # graft a spanning path so every sampled graph is usable
-    return Graph.from_edges(n, edges + [(i, i + 1) for i in range(n - 1)])
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+from graph_builders import connected_graphs, cycle, path
 
 
 def test_strong_product_of_edges_is_k4():
@@ -40,12 +21,9 @@ def test_strong_product_of_edges_is_k4():
     assert p.graph.num_edges() == 6
 
 
-@given(ng=st.integers(2, 4), nh=st.integers(2, 5),
-       bg=st.integers(0), bh=st.integers(0))
+@given(g=connected_graphs(2, 4), h=connected_graphs(2, 5))
 @settings(max_examples=60, deadline=None)
-def test_strong_distance_is_max_of_factor_distances(ng, nh, bg, bh):
-    g = random_connected(ng, bg)
-    h = random_connected(nh, bh)
+def test_strong_distance_is_max_of_factor_distances(g, h):
     p = strong_product(g, h)
     dm = all_pairs_distances(p.graph)
     dg = all_pairs_distances(g)
@@ -57,12 +35,9 @@ def test_strong_distance_is_max_of_factor_distances(ng, nh, bg, bh):
             assert dm.dist[x][y] == max(dg.dist[a][c], dh.dist[b][d])
 
 
-@given(ng=st.integers(2, 4), nh=st.integers(2, 4),
-       bg=st.integers(0), bh=st.integers(0))
+@given(g=connected_graphs(2, 4), h=connected_graphs(2, 4))
 @settings(max_examples=60, deadline=None)
-def test_strong_closed_neighborhoods_multiply(ng, nh, bg, bh):
-    g = random_connected(ng, bg)
-    h = random_connected(nh, bh)
+def test_strong_closed_neighborhoods_multiply(g, h):
     p = strong_product(g, h)
     for x in range(p.graph.n):
         a, b = p.decode(x)
@@ -88,12 +63,9 @@ def test_lex_adjacency_definition():
     assert not g6.has_edge(p.encode(0, 0), p.encode(2, 1))
 
 
-@given(ng=st.integers(2, 4), nh=st.integers(2, 4),
-       bg=st.integers(0), bh=st.integers(0))
+@given(g=connected_graphs(2, 4), h=connected_graphs(2, 4))
 @settings(max_examples=40, deadline=None)
-def test_strong_product_commutes_up_to_codec_swap(ng, nh, bg, bh):
-    g = random_connected(ng, bg)
-    h = random_connected(nh, bh)
+def test_strong_product_commutes_up_to_codec_swap(g, h):
     p = strong_product(g, h)
     q = strong_product(h, g)
     for x in range(p.graph.n):

@@ -1,14 +1,13 @@
 """Boundary, strong resolving graphs, auxiliary graphs, the strong-product MMD table."""
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings
 
-from genpos.cliques import max_clique
+from genpos.cliques import alpha_k, max_clique
 from genpos.errors import DomainError
 from genpos.graphs import (
     Graph,
     all_pairs_distances,
-    is_connected,
     true_twin_pairs,
 )
 from genpos.products import strong_product
@@ -20,29 +19,7 @@ from genpos.resolving import (
     strong_resolving_graph,
     tf_boundary_and_srs,
 )
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def random_connected(n, bits):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    bits %= 1 << len(pairs)
-    edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-    g = Graph.from_edges(n, edges)
-    if is_connected(g):
-        return g
-    # graft a spanning path so every sampled graph is usable
-    return Graph.from_edges(n, edges + [(i, i + 1) for i in range(n - 1)])
+from graph_builders import complete, connected_graphs, cycle, path, random_connected
 
 
 def test_mmd_table_known_values():
@@ -59,6 +36,18 @@ def test_maximal_distance_needs_connected_graph():
         all_pairs_distances(g).mmd
 
 
+@pytest.mark.parametrize("op, name", [
+    (boundary, "boundary"),
+    (strong_resolving_graph, "strong_resolving_graph"),
+    (g2bar, "g2bar"),
+    (tf_boundary_and_srs, "tf_boundary"),
+    (lambda g: alpha_k(g, 1), "alpha_k"),
+], ids=["boundary", "strong_resolving_graph", "g2bar", "tf_boundary_and_srs", "alpha_k"])
+def test_domain_error_names_the_operation(op, name):
+    with pytest.raises(DomainError, match=f"^{name} requires a connected graph$"):
+        op(Graph.from_edges(3, [(0, 1)]))
+
+
 def test_five_cases_need_connected_factors():
     split = Graph.from_edges(3, [(0, 1)])
     for g, h in ((split, path(3)), (path(3), split)):
@@ -73,10 +62,9 @@ def test_boundary_known_values():
     assert len(boundary(Graph(1, (0,)))) == 0
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
+@given(g=connected_graphs(2, 7))
 @settings(max_examples=60, deadline=None)
-def test_true_twins_are_mmd(n, bits):
-    g = random_connected(n, bits)
+def test_true_twins_are_mmd(g):
     sr = strong_resolving_graph(g)
     for u, v in true_twin_pairs(g):
         assert sr.has_edge(u, v)
@@ -96,10 +84,9 @@ def test_sr_graph_of_k1_has_no_pruned_form():
     assert prune_isolated(sr) == (None, ())
 
 
-@given(n=st.integers(2, 7), bits=st.integers(0))
+@given(g=connected_graphs(2, 7))
 @settings(max_examples=60, deadline=None)
-def test_pruning_preserves_clique_number(n, bits):
-    g = random_connected(n, bits)
+def test_pruning_preserves_clique_number(g):
     sr = strong_resolving_graph(g)
     pruned, _ = prune_isolated(sr)
     assert pruned is not None
@@ -115,15 +102,14 @@ def test_g2bar_examples():
     assert g2bar(path(3)).num_edges() == 1
 
 
-@given(n=st.integers(1, 8), bits=st.integers(0))
+@given(g=connected_graphs(1, 8))
 @settings(max_examples=100, deadline=None)
-def test_g2bar_against_definition(n, bits):
-    g = random_connected(n, bits)
+def test_g2bar_against_definition(g):
     dist = all_pairs_distances(g).dist
     expected = [
         (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
         if dist[u][v] >= 2 or g.closed_neighborhood(u) == g.closed_neighborhood(v)
     ]
     assert g2bar(g).edges() == expected
@@ -148,33 +134,29 @@ def test_tf_boundary_examples():
         tf_boundary_and_srs(complete(3))
 
 
-@given(n=st.integers(3, 8), bits=st.integers(0))
+@given(g=connected_graphs(3, 8))
 @settings(max_examples=100, deadline=None)
-@example(n=4, bits=0b011111)  # K4 minus an edge: MMD true twins and false twins
-def test_srs_edges_are_the_non_twin_mmd_pairs(n, bits):
-    g = random_connected(n, bits)
-    assume(g.num_edges() < n * (n - 1) // 2)
+@example(g=random_connected(4, 0b011111))  # K4 minus an edge: MMD true twins and false twins
+def test_srs_edges_are_the_non_twin_mmd_pairs(g):
+    assume(g.num_edges() < g.n * (g.n - 1) // 2)
     d = all_pairs_distances(g).dist
 
     def mmd(u, v):
-        return (all(d[w][v] <= d[u][v] for w in range(n) if g.has_edge(u, w))
-                and all(d[u][w] <= d[u][v] for w in range(n) if g.has_edge(v, w)))
+        return (all(d[w][v] <= d[u][v] for w in range(g.n) if g.has_edge(u, w))
+                and all(d[u][w] <= d[u][v] for w in range(g.n) if g.has_edge(v, w)))
 
     twins = true_twin_pairs(g)
-    expected = [(u, v) for u in range(n) for v in range(u + 1, n)
+    expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                 if mmd(u, v) and (u, v) not in twins]
     srs, labels = tf_boundary_and_srs(g)
     assert sorted(tuple(sorted((labels[i], labels[j]))) for i, j in srs.edges()) == expected
     assert sorted(labels) == sorted({v for pair in expected for v in pair})
 
 
-@given(ng=st.integers(1, 4), nh=st.integers(1, 4),
-       bg=st.integers(0), bh=st.integers(0))
+@given(g=connected_graphs(1, 4), h=connected_graphs(1, 4))
 @settings(max_examples=60, deadline=None)
-@example(ng=1, nh=3, bg=0, bh=3)
-@example(ng=4, nh=1, bg=0b111000, bh=0)
-def test_five_cases_match_direct_product_mmd(ng, nh, bg, bh):
-    g = random_connected(ng, bg)
-    h = random_connected(nh, bh)
+@example(g=random_connected(1, 0), h=random_connected(3, 3))
+@example(g=random_connected(4, 0b111000), h=random_connected(1, 0))
+def test_five_cases_match_direct_product_mmd(g, h):
     direct = all_pairs_distances(strong_product(g, h).graph).mmd
     assert strong_product_mmd(g, h) == direct

@@ -8,7 +8,6 @@ import pytest
 
 from genpos import graphs, positions, resolving, statements
 from genpos.errors import CapacityError, SpecError
-from genpos.families import generate, parse_family
 from genpos.graph6 import parse_graph6, write_graph6
 from genpos.graphs import Graph, distances
 from genpos.products import lexicographic_product, strong_product
@@ -22,17 +21,10 @@ from genpos.statements import (
     parse_corpus,
     run_suite,
 )
+from graph_builders import cycle, family, path
 
 # Counts of labeled connected graphs, OEIS A001187.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +58,7 @@ def test_corpus_family_list_with_a_join_spec():
     # family tag starts the next family
     c = parse_corpus("family:join:subdivided_star:3,1+cycle:4,path:2")
     assert [g.n for g in c.graphs] == [11, 2]
-    assert c.graphs[0] == generate(parse_family("join:subdivided_star:3,1+cycle:4"))
+    assert c.graphs[0] == family("join:subdivided_star:3,1+cycle:4")
 
 
 def test_corpus_family_without_a_family():
@@ -411,7 +403,7 @@ def test_unknown_statement_id_rejected():
 
 
 def test_s18_on_a_real_pair():
-    k3 = generate(parse_family("complete:3"))
+    k3 = family("complete:3")
     p4 = path(4)
     v = check_statement("S18", (k3, p4))[0]
     assert v.outcome == "holds"
@@ -562,7 +554,7 @@ SKIP_NOTES = [
 
 @pytest.mark.parametrize("sid,g,h,note", SKIP_NOTES)
 def test_skip_notes(sid, g, h, note):
-    factors = [generate(parse_family(s)) if ":" in s else parse_graph6(s)
+    factors = [family(s) if ":" in s else parse_graph6(s)
                for s in (g, h) if s is not None]
     [v] = check_statement(sid, factors[0] if h is None else tuple(factors))
     assert (v.outcome, v.note) == ("precondition-not-met", note)
