@@ -65,14 +65,6 @@ VertexSet = Iterable[int]
 # definition-level predicates
 
 
-def is_positionable(dm: DistanceMatrix, X: VertexSet, u: int, v: int) -> bool:
-    """No vertex of X (other than u, v) lies strictly between u and v."""
-    if u == v:
-        raise ValueError("positionability is defined for distinct vertices")
-    xmask = to_mask(X)
-    return not dm.blockers[u][v] & xmask
-
-
 def is_general_position(dm: DistanceMatrix, X: VertexSet) -> bool:
     return _is_gp_mask(dm, to_mask(X))
 

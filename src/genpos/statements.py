@@ -8,10 +8,12 @@ connectivity, then the hypotheses the statement names (module-level
 diameter, completeness, block-graph structure), then its product's order
 cap, and answers precondition-not-met with the first unmet note; otherwise
 it builds the product and hands it to the checker.  The checker itself keeps
-only the mathematics and its clause logic.  Instance names, products and
-strong resolving graphs are memoized per group (``graphs.group_memo``); the
-cap check stays outside the memo.  The suite's central property is zero
-fails: the statements are proved facts, so a failing verdict flags an
+only the mathematics and its clause logic.  An exact-value statement, which
+claims the product's number, declares its claims as ``Clause`` records
+instead, and ``exact`` checks them.  Instance names, products and strong
+resolving graphs are memoized per group (``graphs.group_memo``); the cap
+check stays outside the memo.  The suite's central property is zero fails:
+the statements are proved facts, so a failing verdict flags an
 implementation bug.  The one documented exception is S17 on
 ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the value is
 1; see ``check_s17``), so a full run reports exactly that one fail.
@@ -56,13 +58,6 @@ from .products import ProductGraph, lexicographic_product, strong_product
 
 ENUMERATION_MAX_ORDER = 6
 ISO_MAX_ORDER = 12
-
-# Per-clause product-order caps of S27; every other statement names its cap
-# in its ``@statement`` line.  The caps keep exact searches tractable inside
-# corpus sweeps: oversized instances report precondition-not-met rather than
-# stalling the suite.
-CAP_S27_ZERO = 25
-CAP_S27_COMPLETE = 24
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +178,40 @@ def _bounds(verdict, lower: int, mid: int, upper: int, note: str = "") -> Verdic
     return _holds_if(verdict, lower <= mid <= upper, [lower, mid], [mid, upper], note)
 
 
+class Clause(NamedTuple):
+    """One claim of an exact-value statement: where ``applies(g, h)`` holds,
+    the product's number is ``value(g, h)``.  ``tag`` names the check in the
+    verdict; a nonzero ``cap`` bounds the product order for this clause."""
+
+    tag: str
+    value: Callable
+    applies: Callable = lambda g, h: True
+    cap: int = 0
+
+
+def exact(sid: str, description: str, key: str, *clauses: Clause, requires=(),
+          strong: int = 0, lex: int = 0):
+    """Register pair statement sid through ``@statement``: invariant ``key``
+    of the strong product of (g, h) with ``strong``, else of the
+    lexicographic one, is the value of each clause that applies.  A clause
+    above its own cap notes "<i|ii|iii>: product order above cap N"."""
+    build = "strong_product" if strong else "lexicographic_product"
+
+    def check(verdict, g: Graph, h: Graph, *_) -> Verdict:
+        checks, notes = {}, []
+        for k, clause in enumerate(clauses):
+            if not clause.applies(g, h):
+                continue
+            if clause.cap and g.n * h.n > clause.cap:
+                notes.append(f"{('i', 'ii', 'iii')[k]}: product order above cap {clause.cap}")
+                continue
+            product = _built(globals()[build], g, h).graph
+            checks[clause.tag] = (_number(key, product), clause.value(g, h))
+        return _equalities(verdict, checks, note="; ".join(notes))
+
+    return statement(sid, "pair", description, *requires, strong=strong, lex=lex)(check)
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -193,6 +222,24 @@ def _twin_free(g: Graph) -> bool:
 
 def _no_universal(g: Graph) -> bool:
     return not universal_vertices(g)
+
+
+def _s(g: Graph) -> int:
+    return len(simplicial_vertices(g))
+
+
+def _number(key: str, g: Graph) -> int:
+    """Invariant ``key`` of g, cross-checked by ``positions.invariant``."""
+    return positions.invariant(key, g)[0]
+
+
+def _h_diam_2(g: Graph, h: Graph) -> bool:
+    return distances(h).diameter == 2
+
+
+def _omega_tf_srs(g: Graph) -> int:
+    """Clique number of the SRS graph on the TF-boundary of g."""
+    return cliques.max_clique(resolving.tf_boundary_and_srs(g)[0])[0]
 
 
 def _family(spec: str) -> Graph:
@@ -218,17 +265,10 @@ def _built(build, g: Graph, h: Graph):
 
 def _outer_bounds(g: Graph, h: Graph, prod: Graph) -> tuple[int, int, int]:
     """gp_o(G) gp_o(H), gp_o of their strong product, and b(G) b(H)."""
-    lower = positions.invariant("gp_o", g)[0] * positions.invariant("gp_o", h)[0]
-    mid = positions.invariant("gp_o", prod)[0]
+    lower = _number("gp_o", g) * _number("gp_o", h)
+    mid = _number("gp_o", prod)
     upper = len(resolving.boundary(g)) * len(resolving.boundary(h))
     return lower, mid, upper
-
-
-def _outer_cone_form(h: Graph) -> tuple[str, int]:
-    """(tag, value): gp_o(H) when diam(H) = 2, else gp_o(K1 + H)."""
-    if distances(h).diameter == 2:
-        return "diam2", positions.invariant("gp_o", h)[0]
-    return "diam_gt_2", positions.invariant("gp_o", _cone(h))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +378,7 @@ def check_s3(verdict, g: Graph) -> Verdict:
            NOT_K1)
 def check_s4(verdict, g: Graph) -> Verdict:
     pruned, _ = resolving.prune_isolated(resolving.srs(g))
-    lhs = positions.invariant("gp_o", g)[0]
+    lhs = _number("gp_o", g)
     rhs, _ = cliques.max_clique(pruned)
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
 
@@ -346,7 +386,7 @@ def check_s4(verdict, g: Graph) -> Verdict:
 @statement("S6", "graph", "diameter-2 graphs: gp_o equals the independence number after removing twin edges",
            DIAM_2)
 def check_s6(verdict, g: Graph) -> Verdict:
-    lhs = positions.invariant("gp_o", g)[0]
+    lhs = _number("gp_o", g)
     gtt = remove_true_twin_edges(g)
     checks = {"alpha_form": (lhs, cliques.independence_number(gtt)[0])}
     if _twin_free(g):
@@ -358,7 +398,7 @@ def check_s6(verdict, g: Graph) -> Verdict:
 
 @statement("S7", "graph", "gp_o is at least the (diam-1)-independence number", DIAM_AT_LEAST_2)
 def check_s7(verdict, g: Graph) -> Verdict:
-    lhs = positions.invariant("gp_o", g)[0]
+    lhs = _number("gp_o", g)
     rhs = cliques.alpha_k(g, distances(g).diameter - 1)[0]
     return _holds_if(verdict, lhs >= rhs, lhs, rhs)
 
@@ -372,7 +412,7 @@ def check_s8(verdict) -> list[Verdict]:
         n1 = basic_counts(g)[1]
         akm1 = cliques.alpha_k(g, distances(g).diameter - 1)[0]
         out.append(_equalities(partial(verdict, spec), {
-            "gp_o_vs_leaves": (positions.invariant("gp_o", g)[0], n1),
+            "gp_o_vs_leaves": (_number("gp_o", g), n1),
             "alpha_km1_vs_leaves": (akm1, n1),
         }))
     return out
@@ -381,7 +421,7 @@ def check_s8(verdict) -> list[Verdict]:
 @statement("S15", "graph", "twin-free diameter-2 graphs: gp_o of the strong square equals its independence number",
            TWIN_FREE, DIAM_2, strong=36)
 def check_s15(verdict, g: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_o", pg.graph)[0]
+    lhs = _number("gp_o", pg.graph)
     rhs = cliques.independence_number(pg.graph)[0]
     return _equalities(verdict, {"gp_o_square_vs_alpha": (lhs, rhs)})
 
@@ -409,8 +449,7 @@ def check_s17(verdict) -> list[Verdict]:
     for n in (5, 7):
         spec = f"cycle_plus:{n}"
         g = _family(spec)
-        out.append(_equalities(partial(verdict, spec),
-                               {"gp_d": (positions.invariant("gp_d", g)[0], 3)}))
+        out.append(_equalities(partial(verdict, spec), {"gp_d": (_number("gp_d", g), 3)}))
     return out
 
 
@@ -476,11 +515,8 @@ def check_s9(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-@statement("S10", "pair", "gp_t of a strong product is the product of simplicial counts", strong=256)
-def check_s10(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_t", pg.graph)[0]
-    rhs = len(simplicial_vertices(g)) * len(simplicial_vertices(h))
-    return _equalities(verdict, {"gp_t": (lhs, rhs)})
+check_s10 = exact("S10", "gp_t of a strong product is the product of simplicial counts", "gp_t",
+                  Clause("gp_t", lambda g, h: _s(g) * _s(h)), strong=256)
 
 
 @statement("S11", "pair", "five-case factor test for mutual maximal distance in strong products",
@@ -528,22 +564,14 @@ def check_s14(verdict) -> list[Verdict]:
 @statement("S16", "pair", "dual bounds for strong products (three-term upper bound)", strong=16)
 def check_s16(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     mid = positions.invariant("gp_d", pg.graph, engine="oracle")[0]
-    sg = len(simplicial_vertices(g))
-    sh = len(simplicial_vertices(h))
-    terms = [
-        sg * h.n + sh * g.n - sg * sh,
-        g.n * positions.invariant("gp_d", h)[0],
-        h.n * positions.invariant("gp_d", g)[0],
-    ]
+    sg, sh = _s(g), _s(h)
+    terms = [sg * h.n + sh * g.n - sg * sh, g.n * _number("gp_d", h), h.n * _number("gp_d", g)]
     return _bounds(verdict, sg * sh, mid, min(terms), note=f"upper_terms={terms}")
 
 
-@statement("S18", "pair", "gp_d of a complete-by-H strong product is n times gp_d(H)",
-           G_COMPLETE, strong=24)
-def check_s18(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_d", pg.graph)[0]
-    rhs = g.n * positions.invariant("gp_d", h)[0]
-    return _equalities(verdict, {"gp_d": (lhs, rhs)})
+check_s18 = exact("S18", "gp_d of a complete-by-H strong product is n times gp_d(H)", "gp_d",
+                  Clause("gp_d", lambda g, h: g.n * _number("gp_d", h)),
+                  requires=(G_COMPLETE,), strong=24)
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +589,9 @@ def check_s19(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     return _equalities(verdict, {"simplicial_set": (lhs, rhs)})
 
 
-@statement("S20", "pair", "gp_t of a lexicographic product (complete vs non-complete H)",
-           FACTORS_2, lex=256)
-def check_s20(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_t", pg.graph)[0]
-    rhs = len(simplicial_vertices(g)) * h.n if is_complete(h) else 0
-    return _equalities(verdict, {"gp_t": (lhs, rhs)})
+check_s20 = exact("S20", "gp_t of a lexicographic product (complete vs non-complete H)", "gp_t",
+                  Clause("gp_t", lambda g, h: _s(g) * h.n if is_complete(h) else 0),
+                  requires=(FACTORS_2,), lex=256)
 
 
 @statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product",
@@ -609,67 +634,39 @@ def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     return _equalities(verdict, checks, note="; ".join(notes))
 
 
-@statement("S23", "pair", "gp_o of lexicographic products with a twin-free first factor",
-           FACTORS_2, G_TWIN_FREE, H_NON_COMPLETE, lex=36)
-def check_s23(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_o", pg.graph)[0]
-    gpo_g = positions.invariant("gp_o", g)[0]
-    checks = {}
-    if _no_universal(h):
-        checks["i"] = (lhs, gpo_g * positions.invariant("gp_o", _cone(h))[0])
-    if distances(h).diameter == 2:
-        checks["ii"] = (lhs, gpo_g * positions.invariant("gp_o", h)[0])
-    if _twin_free(h):
-        checks["iii"] = (lhs, gpo_g * cliques.independence_number(h)[0])
-    return _equalities(verdict, checks)
+check_s23 = exact(
+    "S23", "gp_o of lexicographic products with a twin-free first factor", "gp_o",
+    Clause("i", lambda g, h: _number("gp_o", g) * _number("gp_o", _cone(h)),
+           lambda g, h: _no_universal(h)),
+    Clause("ii", lambda g, h: _number("gp_o", g) * _number("gp_o", h), _h_diam_2),
+    Clause("iii", lambda g, h: _number("gp_o", g) * cliques.independence_number(h)[0],
+           lambda g, h: _twin_free(h)),
+    requires=(FACTORS_2, G_TWIN_FREE, H_NON_COMPLETE), lex=36)
 
+check_s24 = exact("S24", "gp_o of a lexicographic product with a complete second factor", "gp_o",
+                  Clause("gp_o", lambda g, h: h.n * _number("gp_o", g)),
+                  requires=(G_ORDER_2, H_COMPLETE_2), lex=36)
 
-@statement("S24", "pair", "gp_o of a lexicographic product with a complete second factor",
-           G_ORDER_2, H_COMPLETE_2, lex=36)
-def check_s24(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_o", pg.graph)[0]
-    rhs = h.n * positions.invariant("gp_o", g)[0]
-    return _equalities(verdict, {"gp_o": (lhs, rhs)})
+check_s25 = exact(
+    "S25", "gp_o of a lexicographic product with a complete first factor", "gp_o",
+    Clause("diam2", lambda g, h: _number("gp_o", h), _h_diam_2),
+    Clause("diam_gt_2", lambda g, h: _number("gp_o", _cone(h)),
+           lambda g, h: not _h_diam_2(g, h)),
+    requires=(G_COMPLETE_2, H_NO_UNIVERSAL), lex=36)
 
+check_s26 = exact(
+    "S26", "gp_o via the SRS graph when the first factor has twins", "gp_o",
+    Clause("diam2", lambda g, h: _omega_tf_srs(g) * _number("gp_o", h), _h_diam_2),
+    Clause("diam_gt_2", lambda g, h: _omega_tf_srs(g) * _number("gp_o", _cone(h)),
+           lambda g, h: not _h_diam_2(g, h)),
+    requires=(G_NON_COMPLETE, H_NO_UNIVERSAL), lex=36)
 
-@statement("S25", "pair", "gp_o of a lexicographic product with a complete first factor",
-           G_COMPLETE_2, H_NO_UNIVERSAL, lex=36)
-def check_s25(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs = positions.invariant("gp_o", pg.graph)[0]
-    tag, rhs = _outer_cone_form(h)
-    return _equalities(verdict, {tag: (lhs, rhs)})
-
-
-@statement("S26", "pair", "gp_o via the SRS graph when the first factor has twins",
-           G_NON_COMPLETE, H_NO_UNIVERSAL, lex=36)
-def check_s26(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    srs, _ = resolving.tf_boundary_and_srs(g)
-    omega_srs = cliques.max_clique(srs)[0]
-    lhs = positions.invariant("gp_o", pg.graph)[0]
-    tag, gpo = _outer_cone_form(h)
-    return _equalities(verdict, {tag: (lhs, omega_srs * gpo)})
-
-
-@statement("S27", "pair", "dual number of lexicographic products (zero case and complete layers)")
-def check_s27(verdict, g: Graph, h: Graph) -> Verdict:
-    checks = {}
-    notes = []
-    if not simplicial_vertices(g) and not simplicial_vertices(h):
-        if g.n * h.n <= CAP_S27_ZERO:
-            pg = _built(lexicographic_product, g, h)
-            checks["no_simplicial_zero"] = (positions.invariant("gp_d", pg.graph)[0], 0)
-        else:
-            notes.append(f"i: product order above cap {CAP_S27_ZERO}")
-    if is_complete(h):
-        if g.n * h.n <= CAP_S27_COMPLETE:
-            pg = _built(lexicographic_product, g, h)
-            checks["complete_layer_product"] = (
-                positions.invariant("gp_d", pg.graph)[0],
-                h.n * positions.invariant("gp_d", g)[0],
-            )
-        else:
-            notes.append(f"ii: product order above cap {CAP_S27_COMPLETE}")
-    return _equalities(verdict, checks, note="; ".join(notes))
+check_s27 = exact(
+    "S27", "dual number of lexicographic products (zero case and complete layers)", "gp_d",
+    Clause("no_simplicial_zero", lambda g, h: 0,
+           lambda g, h: not simplicial_vertices(g) and not simplicial_vertices(h), cap=25),
+    Clause("complete_layer_product", lambda g, h: h.n * _number("gp_d", g),
+           lambda g, h: is_complete(h), cap=24))
 
 
 def check_statement(sid: str, instance=None) -> list[Verdict]:

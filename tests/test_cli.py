@@ -27,11 +27,24 @@ WIDE_PAIRS = (
 )
 WIDE_PAIRS_SHA256 = "de0f536aef20e6bd7bae6cf7e87ea21fc7ce06d529d0811addc7a17351118163"
 
+# SHA-256 of `genpos statements`: ids, arities and descriptions of the catalog.
+STATEMENTS_SHA256 = "8a52a56625606a32a04b613b6a421dd1183e35c3724dd3ac323c56d270efc01c"
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """``python *args`` in a child process that imports this checkout's genpos."""
+    src = os.path.dirname(os.path.dirname(statements.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_invariants_family(capsys):
@@ -248,15 +261,8 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
 
 
 def test_verify_exhaustive_script_strips_statement_ids():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(statements.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "verify_exhaustive.py"),
-         "--statements", "S1, S2", "--min-n", "3", "--max-n", "3"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python(os.path.join(SCRIPTS, "verify_exhaustive.py"),
+                      "--statements", "S1, S2", "--min-n", "3", "--max-n", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n=3: 4 graphs, 8 verdicts, 0 fails")
 
@@ -264,15 +270,7 @@ def test_verify_exhaustive_script_strips_statement_ids():
 @pytest.mark.parametrize("argv", [("--statements", "bogus"), ("--jobs", "0")])
 def test_verify_exhaustive_script_bad_argument_exits_2(argv):
     # exit 1 is "some statement fails", so a bad argument must not end with it
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(statements.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "verify_exhaustive.py"),
-         *argv, "--max-n", "2"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python(os.path.join(SCRIPTS, "verify_exhaustive.py"), *argv, "--max-n", "2")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -284,14 +282,7 @@ def test_verify_exhaustive_script_bad_argument_exits_2(argv):
 ], ids=["product_table-bogus-spec", "open_problem_scan-max-n-9"])
 def test_scripts_report_bad_input_with_exit_2(argv):
     # exit 1 is "some statement fails"; bad input ends with an error line
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(statements.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", argv[0]), *argv[1:]],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python(os.path.join(SCRIPTS, argv[0]), *argv[1:])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -302,13 +293,7 @@ def test_scripts_report_bad_input_with_exit_2(argv):
     (("verify", "--statements", "bogus"), 2, 0),
 ])
 def test_python_dash_m_runs_the_cli(argv, code, lines):
-    src = os.path.dirname(os.path.dirname(statements.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "genpos", *argv],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-m", "genpos", *argv)
     assert proc.returncode == code, proc.stderr
     assert len(proc.stdout.splitlines()) == lines
 
@@ -319,6 +304,7 @@ def test_statements_listing(capsys):
     lines = [json.loads(l) for l in out.splitlines()]
     assert len(lines) == 27
     assert lines[0]["id"] == "S1" and lines[-1]["id"] == "S27"
+    assert hashlib.sha256(out.encode()).hexdigest() == STATEMENTS_SHA256
 
 
 def test_bad_usage(capsys):

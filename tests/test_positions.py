@@ -27,7 +27,6 @@ from genpos.positions import (
     is_dual_gp,
     is_general_position,
     is_outer_gp,
-    is_positionable,
     is_total_gp,
     max_dual_oracle,
     max_gp_oracle,
@@ -51,15 +50,6 @@ def subsets(n):
 
 # --------------------------------------------------------------------------
 # predicates on hand-checked examples
-
-
-def test_positionable_on_a_path():
-    dm = all_pairs_distances(path(4))
-    assert is_positionable(dm, [0, 3], 0, 3)  # endpoints themselves never block
-    assert not is_positionable(dm, [1], 0, 3)
-    assert is_positionable(dm, [0, 1], 0, 1)  # adjacent pairs always pass
-    with pytest.raises(ValueError):
-        is_positionable(dm, [], 2, 2)
 
 
 def test_predicates_on_c4():

@@ -601,6 +601,24 @@ def test_every_statement_holds_on_the_atlas():
     assert counts == ATLAS_COUNTS
 
 
+def test_the_lex_outer_gap_on_exhaustive_5_is_counted():
+    # A known gap: the abstract says gp_o of lexicographic products is
+    # determined in all the cases, yet S23-S26 hold on none of these rotation
+    # pairs.  Each has a G with true twins and a non-complete H with a
+    # universal vertex; every G is non-complete but one, K5.  A catalog entry
+    # that covers them lowers the count.
+    corpus = parse_corpus("exhaustive:5")
+    verdicts, summary = run_suite(corpus, ["S23", "S24", "S25", "S26"])
+    assert summary["fails"] == 0
+    held = {v.instance for v in verdicts if v.outcome == "holds"}
+    gap = [(g, h) for g, h in corpus.derived_pairs()
+           if f"{write_graph6(g)},{write_graph6(h)}" not in held]
+    assert (len(corpus.derived_pairs()), len(gap)) == (728, 117)
+    assert all(graphs.true_twin_pairs(g) and not graphs.is_complete(h)
+               and graphs.universal_vertices(h) for g, h in gap)
+    assert [g for g, _ in gap if graphs.is_complete(g)] == [family("complete:5")]
+
+
 # Three isolated vertices, as a file: corpus may hold them; path:3 is the
 # connected partner of the pair instances.
 THREE_ISOLATED = parse_graph6("B?")
