@@ -19,7 +19,9 @@ implementation bug.  The one documented exception is S17 on
 1; see ``check_s17``), so a full run reports exactly that one fail.
 gp, gp_t, gp_o and gp_d values and sets feeding a verdict come from
 ``positions.invariant``, which cross-checks the two engines up to the caps in
-``positions.INVARIANTS`` and tests every witness with its predicate.
+``positions.INVARIANTS`` and tests every witness with its predicate; S1, S2
+and S14, whose claim is that the two engines agree, call both engines of
+their ``INVARIANTS`` entry themselves.
 """
 
 from __future__ import annotations
@@ -301,11 +303,14 @@ H_NO_UNIVERSAL = ("second factor must have no universal vertex",
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (brute force, small graphs only)
+# isomorphism (a clique search on the modular product, small graphs only)
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
-    """Label-bijection search with degree-sequence pruning; n <= 12 only."""
+    """Isomorphism with degree-sequence pruning; n <= 12 only.  Graphs of
+    order n are isomorphic exactly when their modular product has an n-clique
+    (Barrow & Burstall, 1976): vertex u * n + x pairs u in g with x in h, and
+    (u, x) ~ (v, y) when u != v, x != y and uv is an edge exactly when xy is."""
     if g.n != h.n:
         return False
     if g.n > ISO_MAX_ORDER:
@@ -313,31 +318,12 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
         return False
     n = g.n
-    hdeg = [h.degree(v) for v in range(n)]
-    gdeg = [g.degree(v) for v in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or gdeg[v] != hdeg[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != h.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return rec(0)
+    full = (1 << n) - 1
+    modular = Graph(n * n, [
+        sum((h.adj[x] if g.has_edge(u, v) else full & ~h.closed_neighborhood(x)) << v * n
+            for v in range(n) if v != u)
+        for u in range(n) for x in range(n)])
+    return cliques.max_clique(modular)[0] == n
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +332,14 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 
 @statement("S1", "graph", "total general position number equals the simplicial count")
 def check_s1(verdict, g: Graph) -> Verdict:
-    lhs, _ = positions.max_total_oracle(distances(g))
-    rhs = len(simplicial_vertices(g))
-    return _equalities(verdict, {"gp_t": (lhs, rhs)})
+    total = positions.INVARIANTS["gp_t"]
+    return _equalities(verdict, {"gp_t": (total.oracle(g)[0], total.characterization(g)[0])})
 
 
 @statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
 def check_s2(verdict, g: Graph) -> Verdict:
-    lhs, _ = positions.max_outer_oracle(distances(g))
-    rhs, _ = cliques.max_clique(resolving.srs(g))
-    return _equalities(verdict, {"gp_o": (lhs, rhs)})
+    outer = positions.INVARIANTS["gp_o"]
+    return _equalities(verdict, {"gp_o": (outer.oracle(g)[0], outer.characterization(g)[0])})
 
 
 @statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)",
@@ -606,12 +590,13 @@ def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     b_g = g_sr.n
 
     h2 = resolving.g2bar(h)
-    # item -> right-hand-side graph (None when it is empty), items in order
-    rhs: dict[str, Graph | None] = {}
+    # item -> right-hand-side graph, items in order
+    rhs: dict[str, Graph] = {}
     if _twin_free(g) and not is_complete(h):
+        # Not empty: connected non-complete H has a pair at distance 2, which g2bar joins.
         h2p, _ = resolving.prune_isolated(h2)
-        rhs["i"] = None if h2p is None else disjoint_union(
-            [lexicographic_product(g_sr, h2).graph] + [h2p] * (g.n - b_g))
+        assert h2p is not None
+        rhs["i"] = disjoint_union([lexicographic_product(g_sr, h2).graph] + [h2p] * (g.n - b_g))
     if is_complete(h):
         rhs["ii"] = disjoint_union([lexicographic_product(g_sr, h).graph] + [h] * (g.n - b_g))
     if is_complete(g) and _no_universal(h):
@@ -623,9 +608,6 @@ def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     checks = {}
     notes = []
     for item, rhs_graph in rhs.items():
-        if rhs_graph is None:
-            notes.append(f"{item}: empty right-hand side")
-            continue
         checks[f"omega_{item}"] = (omega_lhs, cliques.max_clique(rhs_graph)[0])
         if lhs_graph.n <= ISO_MAX_ORDER and rhs_graph.n <= ISO_MAX_ORDER:
             checks[f"iso_{item}"] = (True, brute_force_isomorphic(lhs_graph, rhs_graph))

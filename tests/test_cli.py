@@ -100,6 +100,13 @@ def test_product_lex_with_invariants(capsys):
     assert obj["n"] == 6 and obj["gp_o"] == 4
 
 
+def test_product_invariants_of_a_disconnected_product(capsys):
+    code, out, _ = run(capsys, "product", "strong", "B?", "family:path:2", "--invariants")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        '{"alpha": 3, "connected": false, "max_degree": 1, "n": 6, "n1": 6, "omega": 2}')
+
+
 def test_product_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("GP_VERTEX_CAP", "10")
     code, _, err = run(capsys, "product", "strong", "family:path:4", "family:path:4")
@@ -107,6 +114,9 @@ def test_product_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("GP_VERTEX_CAP", "banana")
     code, _, err = run(capsys, "product", "strong", "family:path:2", "family:path:2")
     assert code == 2
+    monkeypatch.setenv("GP_VERTEX_CAP", "0")
+    code, _, err = run(capsys, "product", "strong", "family:path:2", "family:path:2")
+    assert code == 2 and "GP_VERTEX_CAP must be a positive integer, got '0'" in err
 
 
 def test_corpus_stream(capsys):

@@ -59,9 +59,10 @@ def test_random_is_deterministic_and_connected():
 
 
 def test_spec_round_trip_str():
-    spec = parse_family("clique_paths:3,2")
-    assert str(spec) == "clique_paths:3,2"
-    assert parse_family(str(spec)) == spec
+    for text in ("clique_paths:3,2", "join:cycle:3+path:2"):
+        spec = parse_family(text)
+        assert str(spec) == text
+        assert parse_family(str(spec)) == spec
 
 
 @pytest.mark.parametrize("bad", [

@@ -83,6 +83,16 @@ def test_rejects_out_of_range_bytes():
     assert exc.value.offset == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("?", "bad header byte '?' (byte offset 0)"),
+    ("~>??", "header symbol '>' out of range (byte offset 1)"),
+])
+def test_rejects_bad_header(text, message):
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == message
+
+
 def test_rejects_trailing_garbage():
     with pytest.raises(Graph6Error):
         parse_graph6("C~~")

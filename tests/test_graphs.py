@@ -56,6 +56,11 @@ def test_from_edges_rejects_endpoints_outside_the_order():
         Graph.from_edges(3, [(0, 1), (-1, 2)])
 
 
+def test_from_edges_rejects_a_self_loop():
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph.from_edges(3, [(1, 1)])
+
+
 def test_graph_built_from_a_list_hashes_like_a_tuple():
     from genpos.positions import invariant
 

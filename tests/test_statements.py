@@ -3,13 +3,16 @@
 import itertools
 import json
 import pickle
+import random
+from collections import defaultdict
+from math import comb
 
 import pytest
 
 from genpos import graphs, positions, resolving, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.graph6 import parse_graph6, write_graph6
-from genpos.graphs import Graph, distances
+from genpos.graphs import Graph, disjoint_union, distances
 from genpos.products import lexicographic_product, strong_product
 from genpos.statements import (
     STATEMENTS,
@@ -21,7 +24,7 @@ from genpos.statements import (
     parse_corpus,
     run_suite,
 )
-from graph_builders import cycle, family, path
+from graph_builders import complete, cycle, family, path, random_graph, to_nx
 
 # Counts of labeled connected graphs, OEIS A001187.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
@@ -116,6 +119,11 @@ def test_pairs_corpus_flattens_to_unique_graphs():
     assert [g.n for g in c.derived_graphs()] == [2, 3]
 
 
+def test_empty_corpus_derives_nothing():
+    assert Corpus().derived_pairs() == ()
+    assert Corpus().derived_graphs() == ()
+
+
 # --------------------------------------------------------------------------
 # isomorphism helper
 
@@ -127,6 +135,36 @@ def test_brute_force_isomorphic():
     assert not brute_force_isomorphic(path(4), path(5))
     with pytest.raises(CapacityError):
         brute_force_isomorphic(path(13), path(13))
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_brute_force_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(28)
+    # Each sampled graph against a relabelled copy of itself and against the
+    # next sample with its degree sequence, which the degree filter passes.
+    pairs = []
+    for n in range(3, 8):
+        by_degrees = defaultdict(list)
+        for _ in range(400):
+            g = random_graph(n, rng.getrandbits(comb(n, 2)))
+            by_degrees[tuple(sorted(g.degree(v) for v in range(n)))].append(g)
+            pairs.append((g, _relabelled(g, rng)))
+        for same in by_degrees.values():
+            pairs += zip(same, same[1:])
+    assert len(pairs) == 3736
+    bad = [(write_graph6(g), write_graph6(h)) for g, h in pairs
+           if brute_force_isomorphic(g, h) != nx.is_isomorphic(to_nx(g), to_nx(h))]
+    assert bad == []
+
+    assert not brute_force_isomorphic(cycle(6), disjoint_union([complete(3)] * 2))
+    assert not brute_force_isomorphic(disjoint_union([cycle(6)] * 2), disjoint_union([cycle(4)] * 3))
+    assert brute_force_isomorphic(cycle(12), _relabelled(cycle(12), rng))
 
 
 # --------------------------------------------------------------------------
