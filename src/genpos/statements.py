@@ -18,10 +18,11 @@ implementation bug.  The one documented exception is S17 on
 ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the value is
 1; see ``check_s17``), so a full run reports exactly that one fail.
 gp, gp_t, gp_o and gp_d values and sets feeding a verdict come from
-``positions.invariant``, which cross-checks the two engines up to the caps in
-``positions.INVARIANTS`` and tests every witness with its predicate; S1, S2
-and S14, whose claim is that the two engines agree, call both engines of
-their ``INVARIANTS`` entry themselves.
+``positions.invariant`` with its default engine, which cross-checks the two
+engines up to the caps in ``positions.INVARIANTS`` and tests every witness
+with its predicate, so a group computes each number of a graph once.  Only
+S1, S2 and S14, whose claim is that the two engines agree, call both engines
+of their ``INVARIANTS`` entry themselves.
 """
 
 from __future__ import annotations
@@ -468,8 +469,7 @@ def check_s21(verdict, g: Graph) -> Verdict:
 @statement("S5", "pair", "restriction to an isometric layer preserves all four properties", strong=16)
 def check_s5(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     dm = distances(pg.graph)
-    sets = {key: positions.invariant(key, pg.graph, engine="oracle")[1]
-            for key in positions.INVARIANTS}
+    sets = {key: positions.invariant(key, pg.graph)[1] for key in positions.INVARIANTS}
     # The G-layer at b induces G under a -> (a, b), the H-layer at a induces
     # H under b -> (a, b); a layer is isometric when its rows of the product
     # distances are the factor's distances.
@@ -547,7 +547,7 @@ def check_s14(verdict) -> list[Verdict]:
 
 @statement("S16", "pair", "dual bounds for strong products (three-term upper bound)", strong=16)
 def check_s16(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    mid = positions.invariant("gp_d", pg.graph, engine="oracle")[0]
+    mid = _number("gp_d", pg.graph)
     sg, sh = _s(g), _s(h)
     terms = [sg * h.n + sh * g.n - sg * sh, g.n * _number("gp_d", h), h.n * _number("gp_d", g)]
     return _bounds(verdict, sg * sh, mid, min(terms), note=f"upper_terms={terms}")
@@ -703,10 +703,6 @@ class Corpus:
         if self.pairs:
             return self.pairs
         gs = self.graphs
-        if not gs:
-            return ()
-        if len(gs) == 1:
-            return ((gs[0], gs[0]),)
         return tuple((gs[i], gs[(i + 1) % len(gs)]) for i in range(len(gs)))
 
     def derived_graphs(self) -> tuple[Graph, ...]:

@@ -286,18 +286,6 @@ def test_verify_exhaustive_script_bad_argument_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ("product_table.py", "bogus"),
-    ("open_problem_scan.py", "--max-n", "9"),
-], ids=["product_table-bogus-spec", "open_problem_scan-max-n-9"])
-def test_scripts_report_bad_input_with_exit_2(argv):
-    # exit 1 is "some statement fails"; bad input ends with an error line
-    proc = run_python(os.path.join(SCRIPTS, argv[0]), *argv[1:])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize("argv,code,lines", [
     (("statements",), 0, 27),
     (("verify", "--statements", "bogus"), 2, 0),

@@ -545,7 +545,7 @@ def test_cross_check_catches_a_dual_disagreement_in_s16(monkeypatch):
     size = max_dual_oracle(all_pairs_distances(prod))[0]
     monkeypatch.setattr(positions, "_max_dual_characterization",
                         _off_by_one(positions._max_dual_characterization))
-    expected = _disagreement("gp_d", prod, f"oracle={size}", f"characterization={size + 1}")
+    expected = _disagreement("gp_d", prod, f"characterization={size + 1}", f"oracle={size}")
     with pytest.raises(GenposError, match=expected):
         check_statement("S16", (path(2), path(3)))
 

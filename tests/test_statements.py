@@ -478,6 +478,25 @@ def test_s22_builds_g2bar_once_for_items_i_and_iv(monkeypatch):
     assert calls == [h]
 
 
+def test_a_pair_group_runs_each_engine_once_on_its_product(monkeypatch):
+    # S5 and S16 read the default engine, so the six statements share one
+    # cross-checked value of each number of the order-12 product
+    g, h = family("complete:3"), path(4)
+    engines = ("max_total_oracle", "max_outer_oracle", "max_dual_oracle",
+               "_max_dual_characterization")
+    calls = defaultdict(int)
+    for name in engines:
+        def counting(dm, name=name, engine=getattr(positions, name)):
+            if dm.n == g.n * h.n:
+                calls[name] += 1
+            return engine(dm)
+        monkeypatch.setattr(positions, name, counting)
+    sids = ["S5", "S10", "S12", "S13", "S16", "S18"]
+    verdicts = statements._run_group([(sid, (g, h)) for sid in sids])
+    assert [(v.statement, v.outcome) for v in verdicts] == [(sid, "holds") for sid in sids]
+    assert calls == dict.fromkeys(engines, 1)
+
+
 def test_s5_reports_a_layer_that_is_not_isometric(monkeypatch):
     # In P2 o P4 an H-layer induces P4, but its ends are at distance 2, not 3.
     monkeypatch.setattr(statements, "strong_product", lexicographic_product)
@@ -494,7 +513,7 @@ def test_s5_reports_the_lost_property_in_layer_labels(monkeypatch):
     assert (v.outcome, v.lhs) == ("fails", "gp_d")
     assert v.note == "restriction lost the property on a layer"
     # the G-layers pass; the first H-layer, at a = 0, is {(0, b)} = {0, 1, 2}
-    dual = positions.max_dual_oracle(distances(strong_product(g, h).graph))[1]
+    dual = positions.invariant("gp_d", strong_product(g, h).graph)[1]
     assert v.counterexample == [b for b in range(h.n) if b in dual]
 
 
