@@ -65,22 +65,6 @@ VertexSet = Iterable[int]
 # definition-level predicates
 
 
-def is_general_position(dm: DistanceMatrix, X: VertexSet) -> bool:
-    return _is_gp_mask(dm, to_mask(X))
-
-
-def is_outer_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
-    return _is_outer_mask(dm, to_mask(X))
-
-
-def is_dual_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
-    return _is_dual_mask(dm, to_mask(X))
-
-
-def is_total_gp(dm: DistanceMatrix, X: VertexSet) -> bool:
-    return _is_total_mask(dm, to_mask(X))
-
-
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
     """Every geodesic between members of X stays inside X."""
     xmask = to_mask(X)
@@ -496,31 +480,36 @@ def invariant(key: str, g: Graph, engine: str = "characterization") -> tuple[int
     witness must have that size and pass the entry's predicate.  A failed
     check raises GenposError.  gp has one engine, which serves both names.
 
-    Memoized per group (``graphs.group_memo``): a failed check raises on
-    every call, since the memo stores no exception."""
+    Memoized per group through ``_checked``, which stores a disagreement as
+    its two sizes, so ``invariant`` raises it again on every call; a failed
+    witness check is never stored and also raises on every call."""
     if INVARIANTS[key].oracle is None:
         engine = "characterization"
-    return _checked(key, g, engine)
+    pair, other = _checked(key, g, engine)
+    if other is not None and other != pair[0]:
+        name = "oracle" if engine == "characterization" else "characterization"
+        raise GenposError(f"{key} engine disagreement on {write_graph6(g)}: "
+                          f"{engine}={pair[0]}, {name}={other}")
+    return pair
 
 
 @group_memo
-def _checked(key: str, g: Graph, engine: str) -> tuple[int, frozenset[int]]:
+def _checked(key: str, g: Graph, engine: str) -> tuple[tuple[int, frozenset[int]], int | None]:
+    """The ``(size, witness)`` pair of ``engine`` on g, and the other
+    engine's size: None for gp and above the entry's cap.  The witness is
+    tested, and raises GenposError, only when the two sizes agree.  S1, S2
+    and S14 read both sizes here (``statements._engines``)."""
     entry = INVARIANTS[key]
     dm = require_connected(g, key)
     engines = {"characterization": entry.characterization, "oracle": entry.oracle}
-    size, witness = engines[engine](g)
+    pair = size, witness = engines[engine](g)
+    other = None
     if entry.oracle is not None and (entry.cap is None or g.n <= entry.cap):
-        other = "oracle" if engine == "characterization" else "characterization"
-        check, _ = engines[other](g)
-        if check != size:
-            raise GenposError(
-                f"{key} engine disagreement on {write_graph6(g)}: "
-                f"{engine}={size}, {other}={check}"
-            )
-    if len(witness) != size or not entry.accepts(dm, to_mask(witness)):
+        other = engines["oracle" if engine == "characterization" else "characterization"](g)[0]
+    if other in (None, size) and (len(witness) != size or not entry.accepts(dm, to_mask(witness))):
         raise GenposError(f"{key} {engine} witness {sorted(witness)} on "
                           f"{write_graph6(g)} is not a {key} set of size {size}")
-    return size, witness
+    return pair, other
 
 
 # ---------------------------------------------------------------------------

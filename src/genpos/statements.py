@@ -20,9 +20,10 @@ implementation bug.  The one documented exception is S17 on
 gp, gp_t, gp_o and gp_d values and sets feeding a verdict come from
 ``positions.invariant`` with its default engine, which cross-checks the two
 engines up to the caps in ``positions.INVARIANTS`` and tests every witness
-with its predicate, so a group computes each number of a graph once.  Only
-S1, S2 and S14, whose claim is that the two engines agree, call both engines
-of their ``INVARIANTS`` entry themselves.
+with its predicate, so a group computes each number of a graph once.  S1,
+S2 and S14, whose claim is that the two engines agree, read both sizes from
+the same memo entry (``_engines``) and report a disagreement as a fail;
+every other reader gets it as a GenposError.  No checker calls an engine.
 """
 
 from __future__ import annotations
@@ -236,6 +237,16 @@ def _number(key: str, g: Graph) -> int:
     return positions.invariant(key, g)[0]
 
 
+def _engines(key: str, g: Graph) -> tuple[int, int]:
+    """Oracle and characterization values of ``key`` on g, from the memo
+    entry that ``positions.invariant`` reads, so an engine disagreement is
+    a value here; above the entry's cap the oracle runs alone."""
+    (size, _), other = positions._checked(key, g, "characterization")
+    if other is None:
+        other = positions.invariant(key, g, "oracle")[0]
+    return other, size
+
+
 def _h_diam_2(g: Graph, h: Graph) -> bool:
     return distances(h).diameter == 2
 
@@ -251,7 +262,7 @@ def _family(spec: str) -> Graph:
 
 def _cone(h: Graph) -> Graph:
     """K1 + H: one new vertex joined to every vertex of H."""
-    return join(_family("path:1"), h)
+    return join(Graph(1, (0,)), h)
 
 
 @group_memo
@@ -333,14 +344,12 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 
 @statement("S1", "graph", "total general position number equals the simplicial count")
 def check_s1(verdict, g: Graph) -> Verdict:
-    total = positions.INVARIANTS["gp_t"]
-    return _equalities(verdict, {"gp_t": (total.oracle(g)[0], total.characterization(g)[0])})
+    return _equalities(verdict, {"gp_t": _engines("gp_t", g)})
 
 
 @statement("S2", "graph", "outer general position number equals the clique number of the strong resolving graph")
 def check_s2(verdict, g: Graph) -> Verdict:
-    outer = positions.INVARIANTS["gp_o"]
-    return _equalities(verdict, {"gp_o": (outer.oracle(g)[0], outer.characterization(g)[0])})
+    return _equalities(verdict, {"gp_o": _engines("gp_o", g)})
 
 
 @statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)",
@@ -535,10 +544,7 @@ def check_s13(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
 @statement("S14", "fixed", "gp_o of the strong square of the 5-cycle is 5")
 def check_s14(verdict) -> list[Verdict]:
     c5 = _family("cycle:5")
-    prod = strong_product(c5, c5).graph
-    outer = positions.INVARIANTS["gp_o"]
-    char, _ = outer.characterization(prod)
-    oracle, _ = outer.oracle(prod)
+    oracle, char = _engines("gp_o", strong_product(c5, c5).graph)
     return [_equalities(partial(verdict, "strong(cycle:5,cycle:5)"), {
         "characterization": (char, 5),
         "oracle": (oracle, 5),

@@ -5,7 +5,8 @@ from math import comb
 from hypothesis import strategies as st
 
 from genpos.families import generate, parse_family
-from genpos.graphs import Graph, is_connected
+from genpos.graphs import Graph, is_connected, to_mask
+from genpos.positions import INVARIANTS
 
 
 def family(spec):
@@ -22,6 +23,11 @@ def cycle(n):
 
 def complete(n):
     return family(f"complete:{n}")
+
+
+def accepts(key, dm, X):
+    """Whether the vertex set X is a ``key`` set: ``INVARIANTS[key].accepts``."""
+    return INVARIANTS[key].accepts(dm, to_mask(X))
 
 
 def random_graph(n, bits):

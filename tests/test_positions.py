@@ -24,10 +24,6 @@ from genpos.positions import (
     compute_bundle,
     invariant,
     is_convex,
-    is_dual_gp,
-    is_general_position,
-    is_outer_gp,
-    is_total_gp,
     max_dual_oracle,
     max_gp_oracle,
     max_outer_oracle,
@@ -36,7 +32,7 @@ from genpos.positions import (
 )
 from genpos.products import lexicographic_product, strong_product
 from genpos.statements import check_statement, enumerate_connected
-from graph_builders import complete, connected_graphs, cycle, family, path, random_connected, to_nx
+from graph_builders import accepts, complete, connected_graphs, cycle, family, path, random_connected, to_nx
 
 
 def k4_with_pendant():
@@ -54,22 +50,22 @@ def subsets(n):
 
 def test_predicates_on_c4():
     dm = all_pairs_distances(cycle(4))
-    assert is_general_position(dm, [0, 1])
-    assert not is_general_position(dm, [0, 1, 2])  # 1 is between 0 and 2
-    assert is_outer_gp(dm, [0, 2])  # a diagonal never blocks anything
-    assert not is_outer_gp(dm, [0, 1])  # 1 lies between 0 and 2
-    assert is_dual_gp(dm, [0, 1])  # complement is an edge, convex
-    assert not is_dual_gp(dm, [0, 2])  # complement pair 1,3 is blocked
-    assert not is_dual_gp(dm, [0, 1, 2, 3])  # the whole vertex set is not gp
-    assert not is_total_gp(dm, [0])
+    assert accepts("gp", dm, [0, 1])
+    assert not accepts("gp", dm, [0, 1, 2])  # 1 is between 0 and 2
+    assert accepts("gp_o", dm, [0, 2])  # a diagonal never blocks anything
+    assert not accepts("gp_o", dm, [0, 1])  # 1 lies between 0 and 2
+    assert accepts("gp_d", dm, [0, 1])  # complement is an edge, convex
+    assert not accepts("gp_d", dm, [0, 2])  # complement pair 1,3 is blocked
+    assert not accepts("gp_d", dm, [0, 1, 2, 3])  # the whole vertex set is not gp
+    assert not accepts("gp_t", dm, [0])
     assert is_convex(dm, [0, 1])
     assert not is_convex(dm, [0, 2])
 
 
 def test_total_on_paths():
     dm = all_pairs_distances(path(4))
-    assert is_total_gp(dm, [0, 3])
-    assert not is_total_gp(dm, [0, 1])
+    assert accepts("gp_t", dm, [0, 3])
+    assert not accepts("gp_t", dm, [0, 1])
     assert max_total_oracle(dm) == (2, frozenset({0, 3}))
 
 
@@ -82,16 +78,16 @@ def test_total_on_paths():
 def test_oracles_match_subset_enumeration(g):
     dm = all_pairs_distances(g)
     table = {
-        is_general_position: max_gp_oracle,
-        is_outer_gp: max_outer_oracle,
-        is_dual_gp: max_dual_oracle,
-        is_total_gp: max_total_oracle,
+        "gp": max_gp_oracle,
+        "gp_o": max_outer_oracle,
+        "gp_d": max_dual_oracle,
+        "gp_t": max_total_oracle,
     }
-    for predicate, solver in table.items():
-        brute = max(len(s) for s in subsets(g.n) if predicate(dm, s))
+    for key, solver in table.items():
+        brute = max(len(s) for s in subsets(g.n) if accepts(key, dm, s))
         size, witness = solver(dm)
         assert size == brute
-        assert predicate(dm, witness)
+        assert accepts(key, dm, witness)
 
 
 # --------------------------------------------------------------------------
@@ -124,10 +120,10 @@ def test_gp_and_outer_are_hereditary(g):
     dm = all_pairs_distances(g)
     _, w = max_gp_oracle(dm)
     w = sorted(w)
-    assert all(is_general_position(dm, w[:k]) for k in range(len(w) + 1))
+    assert all(accepts("gp", dm, w[:k]) for k in range(len(w) + 1))
     _, w = max_outer_oracle(dm)
     w = sorted(w)
-    assert all(is_outer_gp(dm, w[:k]) for k in range(len(w) + 1))
+    assert all(accepts("gp_o", dm, w[:k]) for k in range(len(w) + 1))
 
 
 @pytest.mark.parametrize("build, a, b, expected", [
@@ -143,7 +139,7 @@ def test_dual_engine_above_the_cross_check_cap(build, a, b, expected):
     dm = all_pairs_distances(g)
     size, witness = positions._max_dual_characterization(dm)
     assert size == max_dual_oracle(dm)[0] == expected
-    assert len(witness) == size and is_dual_gp(dm, witness)
+    assert len(witness) == size and accepts("gp_d", dm, witness)
 
 
 # gp_d and witness of large products by the characterization alone, recorded
@@ -179,13 +175,13 @@ def test_split_filter_reach():
 @settings(max_examples=200, deadline=None)
 def test_dual_search_prunes_against_the_definition(g):
     dm = all_pairs_distances(g)
-    dual = [x for x in subsets(g.n) if is_dual_gp(dm, x)]
+    dual = [x for x in subsets(g.n) if accepts("gp_d", dm, x)]
     # the split-pair filter excludes only vertices of no dual set
     never = positions._never_dual(dm)
     assert not any(never >> v & 1 for x in dual for v in x)
     # the witness is the first largest dual set in combinations order
     k = max(len(x) for x in dual)
-    first = next(x for x in itertools.combinations(range(g.n), k) if is_dual_gp(dm, x))
+    first = next(x for x in itertools.combinations(range(g.n), k) if accepts("gp_d", dm, x))
     assert positions._max_dual_characterization(dm) == (k, frozenset(first))
 
 
@@ -193,17 +189,17 @@ def test_dual_search_prunes_against_the_definition(g):
 @settings(max_examples=200, deadline=None)
 def test_gp_search_against_the_definition(g):
     dm = all_pairs_distances(g)
-    k = max(len(x) for x in subsets(g.n) if is_general_position(dm, x))
+    k = max(len(x) for x in subsets(g.n) if accepts("gp", dm, x))
     # the witness is the first largest general position set in combinations order
     first = next(x for x in itertools.combinations(range(g.n), k)
-                 if is_general_position(dm, x))
+                 if accepts("gp", dm, x))
     assert max_gp_oracle(dm) == (k, frozenset(first))
 
 
-def first_largest(dm, accepts):
-    """The first largest set in combinations order that ``accepts``."""
+def first_largest(dm, key):
+    """The first largest ``key`` set in combinations order."""
     return next(x for k in range(dm.n, -1, -1)
-                for x in itertools.combinations(range(dm.n), k) if accepts(dm, x))
+                for x in itertools.combinations(range(dm.n), k) if accepts(key, dm, x))
 
 
 def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
@@ -214,8 +210,8 @@ def test_gp_search_on_every_labeled_graph_of_order_4_and_5():
     assert len(graphs) == 766
     for g in graphs:
         dm = all_pairs_distances(g)
-        for dual, accepts in ((False, is_general_position), (True, is_dual_gp)):
-            first = first_largest(dm, accepts)
+        for dual, key in ((False, "gp"), (True, "gp_d")):
+            first = first_largest(dm, key)
             assert positions._max_gp_search(dm, dual) == (len(first), frozenset(first))
 
 
@@ -286,8 +282,8 @@ def test_gp_search_with_a_planted_false_twin_class(g, source, copies):
     planted = {s, *range(n, n + copies)}
     assert any(planted <= set(c) for c in false_twin_classes(g.adj))
     dm = all_pairs_distances(g)
-    for dual, accepts in ((False, is_general_position), (True, is_dual_gp)):
-        first = first_largest(dm, accepts)
+    for dual, key in ((False, "gp"), (True, "gp_d")):
+        first = first_largest(dm, key)
         assert positions._max_gp_search(dm, dual) == (len(first), frozenset(first))
 
 
@@ -314,8 +310,8 @@ def test_gp_search_witnesses_on_false_twins(g, gp_witness, dual_witness):
         len(dual_witness), frozenset(dual_witness))
     assert max_dual_oracle(dm)[0] == len(dual_witness)
     if g.n <= 7:
-        assert list(first_largest(dm, is_general_position)) == gp_witness
-        assert list(first_largest(dm, is_dual_gp)) == dual_witness
+        assert list(first_largest(dm, "gp")) == gp_witness
+        assert list(first_largest(dm, "gp_d")) == dual_witness
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +390,7 @@ def test_gp_oracle_matches_networkx_brute_force():
         dm = all_pairs_distances(g)
         size, witness = max_gp_oracle(dm)
         assert size == len(witness) == _brute_gp(g, nx)
-        assert is_general_position(dm, witness)
+        assert accepts("gp", dm, witness)
 
 
 @pytest.mark.parametrize("m, size, witness", [
@@ -407,7 +403,7 @@ def test_gp_of_strong_squares_of_cycles(m, size, witness):
     g = strong_product(cycle(m), cycle(m)).graph
     dm = all_pairs_distances(g)
     assert max_gp_oracle(dm) == (size, frozenset(witness))
-    assert is_general_position(dm, witness)
+    assert accepts("gp", dm, witness)
     nx = pytest.importorskip("networkx")
     d = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
     assert not any(d[a][u] + d[u][b] == d[a][b]
@@ -478,8 +474,70 @@ def test_cross_check_catches_an_outer_disagreement(monkeypatch):
         check_statement("S12", (p3, path(4)))
 
 
+def test_a_disagreement_is_a_verdict_in_s2_and_an_error_in_s4(monkeypatch):
+    c10 = cycle(10)
+    monkeypatch.setattr(positions, "max_outer_oracle",
+                        _off_by_one(positions.max_outer_oracle))
+    [v] = check_statement("S2", c10)
+    assert (v.outcome, v.lhs, v.rhs) == ("fails", 3, 2)  # oracle, characterization
+    expected = _disagreement("gp_o", c10, "characterization=2", "oracle=3")
+    with pytest.raises(GenposError, match=expected):
+        check_statement("S4", c10)
+
+
+def test_a_disagreement_is_a_verdict_in_s1_and_an_error_in_s10(monkeypatch):
+    c10, p2 = cycle(10), path(2)
+    monkeypatch.setattr(positions, "max_total_oracle",
+                        _off_by_one(positions.max_total_oracle))
+    [v] = check_statement("S1", c10)
+    assert (v.outcome, v.lhs, v.rhs) == ("fails", 1, 0)
+    with pytest.raises(GenposError, match=_disagreement(
+            "gp_t", c10, "characterization=0", "oracle=1")):
+        invariant("gp_t", c10)
+    prod = strong_product(c10, p2).graph
+    with pytest.raises(GenposError, match=_disagreement(
+            "gp_t", prod, "characterization=0", "oracle=1")):
+        check_statement("S10", (c10, p2))
+
+
+def test_a_disagreement_is_a_verdict_in_s14(monkeypatch):
+    monkeypatch.setattr(positions, "max_outer_oracle",
+                        _off_by_one(positions.max_outer_oracle))
+    [v] = check_statement("S14")
+    assert v.outcome == "fails"
+    assert v.lhs == {"characterization": 5, "oracle": 6}
+    assert v.counterexample == {"oracle": [6, 5]}
+    square = strong_product(cycle(5), cycle(5)).graph
+    with pytest.raises(GenposError, match=_disagreement(
+            "gp_o", square, "characterization=5", "oracle=6")):
+        invariant("gp_o", square)
+
+
+def _one_short(fn):
+    # a wrong size that still comes with a set of that size, for the
+    # hereditary outer sets, so the witness check passes it
+    def wrong(dm):
+        size, witness = fn(dm)
+        return size - 1, witness - {max(witness)}
+    return wrong
+
+
+def test_s2_above_the_outer_cap_runs_the_oracle_once(monkeypatch):
+    c41 = cycle(INVARIANTS["gp_o"].cap + 1)
+    calls = []
+    monkeypatch.setattr(positions, "max_outer_oracle",
+                        _counting(positions.max_outer_oracle, calls, "oracle"))
+    [v] = check_statement("S2", c41)
+    assert (v.outcome, v.lhs, v.rhs) == ("holds", 2, 2)
+    assert calls == ["oracle"]
+    clear_memos()
+    monkeypatch.setattr(positions, "max_outer_oracle", _one_short(positions.max_outer_oracle))
+    [v] = check_statement("S2", c41)
+    assert (v.outcome, v.lhs, v.rhs) == ("fails", 1, 2)
+
+
 def test_cross_check_raises_on_every_call(monkeypatch):
-    # invariant is memoized, but a disagreement is never stored
+    # invariant is memoized, and raises a stored disagreement again each time
     c10 = cycle(10)
     for key, solver, values in [
         ("gp_o", "max_outer_oracle", ("characterization=2", "oracle=3")),

@@ -497,6 +497,34 @@ def test_a_pair_group_runs_each_engine_once_on_its_product(monkeypatch):
     assert calls == dict.fromkeys(engines, 1)
 
 
+def test_a_group_runs_each_engine_once_per_graph(monkeypatch):
+    # S1 and S2 read the memo entries that S4, S6, S7, S12 and S13 read, so
+    # no engine of INVARIANTS runs twice on one graph of the group
+    g, h = path(3), path(4)
+    calls = defaultdict(int)
+
+    def counting(key, name, engine):
+        def run(graph):
+            calls[key, name, graph] += 1
+            return engine(graph)
+        return run
+
+    for key, entry in positions.INVARIANTS.items():
+        if entry.oracle is not None:
+            monkeypatch.setitem(positions.INVARIANTS, key, entry._replace(
+                characterization=counting(key, "characterization", entry.characterization),
+                oracle=counting(key, "oracle", entry.oracle)))
+    tasks = [(sid, g) for sid in ("S1", "S2", "S4", "S6", "S7")]
+    tasks += [(sid, (g, h)) for sid in ("S12", "S13")]
+    verdicts = statements._run_group(tasks)
+    assert [v.outcome for v in verdicts] == ["holds"] * len(tasks)
+    # the memo never evicted an entry
+    assert positions._checked.cache_info().currsize < graphs.MEMO_SIZE
+    assert {("gp_t", "oracle", g), ("gp_o", "oracle", g), ("gp_o", "characterization", g)
+            } <= set(calls)
+    assert set(calls.values()) == {1}
+
+
 def test_s5_reports_a_layer_that_is_not_isometric(monkeypatch):
     # In P2 o P4 an H-layer induces P4, but its ends are at distance 2, not 3.
     monkeypatch.setattr(statements, "strong_product", lexicographic_product)
