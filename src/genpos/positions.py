@@ -466,7 +466,8 @@ INVARIANTS = {
     "gp": Invariant(_is_gp_mask, lambda g: max_gp_oracle(distances(g)), None, None),
     "gp_t": Invariant(_is_total_mask, _simplicial,
                       lambda g: max_total_oracle(distances(g)), None),
-    "gp_o": Invariant(_is_outer_mask, lambda g: cliques.max_clique(resolving.srs(g)),
+    "gp_o": Invariant(_is_outer_mask,
+                      lambda g: cliques.max_clique(resolving.strong_resolving_graph(g)),
                       lambda g: max_outer_oracle(distances(g)), 40),
     "gp_d": Invariant(_is_dual_mask, lambda g: _max_dual_characterization(distances(g)),
                       lambda g: max_dual_oracle(distances(g)), 16),
@@ -501,11 +502,11 @@ def _checked(key: str, g: Graph, engine: str) -> tuple[tuple[int, frozenset[int]
     and S14 read both sizes here (``statements._engines``)."""
     entry = INVARIANTS[key]
     dm = require_connected(g, key)
-    engines = {"characterization": entry.characterization, "oracle": entry.oracle}
-    pair = size, witness = engines[engine](g)
+    pair = size, witness = getattr(entry, engine)(g)
     other = None
     if entry.oracle is not None and (entry.cap is None or g.n <= entry.cap):
-        other = engines["oracle" if engine == "characterization" else "characterization"](g)[0]
+        name = "oracle" if engine == "characterization" else "characterization"
+        other = getattr(entry, name)(g)[0]
     if other in (None, size) and (len(witness) != size or not entry.accepts(dm, to_mask(witness))):
         raise GenposError(f"{key} {engine} witness {sorted(witness)} on "
                           f"{write_graph6(g)} is not a {key} set of size {size}")

@@ -2,12 +2,12 @@
 
 The mutually-maximally-distant (MMD) relation is the ``mmd`` table of the
 memoized distance matrix.  The strong resolving graph is that table as a
-plain ``Graph`` on all of V(G), built by ``strong_resolving_graph`` and
-memoized per group by ``srs``; the boundary is the set of vertices with an
-MMD partner.  The MMD table of a strong product is read off the factor
-tables and distances (the five-case lemma) by ``strong_product_mmd``.  Also
-here: the distance->=2-or-true-twins graph used for lexicographic products,
-and the twin-free boundary with its SRS graph.
+plain ``Graph`` on all of V(G), built by ``strong_resolving_graph`` (its
+clique number is memoized, in ``cliques``); the boundary is the set of
+vertices with an MMD partner.  ``strong_product_mmd`` reads the MMD table of
+a strong product off the factor tables and distances (the five-case lemma).
+Also here: the distance->=2-or-true-twins graph used for lexicographic
+products, and the twin-free boundary with its SRS graph.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import DomainError
 from .graphs import (
     Graph,
     complement,
-    group_memo,
     induced_subgraph,
     is_complete,
     remove_true_twin_edges,
@@ -36,13 +35,6 @@ def boundary(g: Graph) -> frozenset[int]:
 def strong_resolving_graph(g: Graph) -> Graph:
     """Edges are the MMD pairs of g."""
     return Graph(g.n, tuple(require_connected(g, "strong_resolving_graph").mmd))
-
-
-@group_memo
-def srs(g: Graph) -> Graph:
-    """``strong_resolving_graph(g)``, built once per group for every reader
-    (the statements and the gp_o entry of ``positions.INVARIANTS``)."""
-    return strong_resolving_graph(g)
 
 
 def g2bar(g: Graph) -> Graph:

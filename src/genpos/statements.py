@@ -10,9 +10,9 @@ cap, and answers precondition-not-met with the first unmet note; otherwise
 it builds the product and hands it to the checker.  The checker itself keeps
 only the mathematics and its clause logic.  An exact-value statement, which
 claims the product's number, declares its claims as ``Clause`` records
-instead, and ``exact`` checks them.  Instance names, products and strong
-resolving graphs are memoized per group (``graphs.group_memo``); the cap
-check stays outside the memo.  The suite's central property is zero fails:
+instead, and ``exact`` checks them.  Instance names, products and clique
+numbers (``cliques``) are memoized per group (``graphs.group_memo``); the
+cap check stays outside the memo.  The suite's central property is zero fails:
 the statements are proved facts, so a failing verdict flags an
 implementation bug.  The one documented exception is S17 on
 ``cycle_plus:7``, where the claimed gp_d = 3 is not attained (the value is
@@ -55,7 +55,7 @@ from .graphs import (
     remove_true_twin_edges,
     simplicial_vertices,
     to_mask,
-    true_twin_pairs,
+    true_twin_classes,
     universal_vertices,
 )
 from .products import ProductGraph, lexicographic_product, strong_product
@@ -221,7 +221,7 @@ def exact(sid: str, description: str, key: str, *clauses: Clause, requires=(),
 
 
 def _twin_free(g: Graph) -> bool:
-    return not true_twin_pairs(g)
+    return not true_twin_classes(g.adj)
 
 
 def _no_universal(g: Graph) -> bool:
@@ -371,7 +371,7 @@ def check_s3(verdict, g: Graph) -> Verdict:
 @statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o",
            NOT_K1)
 def check_s4(verdict, g: Graph) -> Verdict:
-    pruned, _ = resolving.prune_isolated(resolving.srs(g))
+    pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
     lhs = _number("gp_o", g)
     rhs, _ = cliques.max_clique(pruned)
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
@@ -453,19 +453,16 @@ def check_s21(verdict, g: Graph) -> Verdict:
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
     if _no_universal(g):
-        pruned, _ = resolving.prune_isolated(resolving.srs(_cone(g)))
+        pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(_cone(g)))
         assert pruned is not None
         checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
         # Neither is empty: a diametral pair is MMD, and g2bar joins a pair at
         # distance 2 or, when g is complete, a true-twin pair.
         pruned_g2, _ = resolving.prune_isolated(g2)
-        pruned_sr, _ = resolving.prune_isolated(resolving.srs(g))
+        pruned_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
         assert pruned_g2 is not None and pruned_sr is not None
-        checks["ii"] = (
-            cliques.max_clique(pruned_g2)[0],
-            cliques.max_clique(pruned_sr)[0],
-        )
+        checks["ii"] = (cliques.max_clique(pruned_g2)[0], cliques.max_clique(pruned_sr)[0])
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
     return _equalities(verdict, checks)
@@ -587,11 +584,11 @@ check_s20 = exact("S20", "gp_t of a lexicographic product (complete vs non-compl
 @statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product",
            FACTORS_2, lex=36)
 def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs_graph, _ = resolving.prune_isolated(resolving.srs(pg.graph))
+    lhs_graph, _ = resolving.prune_isolated(resolving.strong_resolving_graph(pg.graph))
     assert lhs_graph is not None
     omega_lhs = cliques.max_clique(lhs_graph)[0]
 
-    g_sr, _ = resolving.prune_isolated(resolving.srs(g))
+    g_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
     assert g_sr is not None
     b_g = g_sr.n
 

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from genpos import graphs, positions, resolving, statements
+from genpos import cliques, graphs, positions, resolving, statements
 from genpos.errors import CapacityError, SpecError
 from genpos.graph6 import parse_graph6, write_graph6
 from genpos.graphs import Graph, disjoint_union, distances
@@ -315,24 +315,24 @@ def test_one_graph_corpus_builds_its_distances_once(built):
     assert built == [cycle(5)]
 
 
-def test_one_graph_corpus_builds_its_strong_resolving_graphs_once(monkeypatch):
+def test_one_graph_corpus_searches_each_clique_once(monkeypatch):
     # S2, S4, S21 and S22, and gp_o's characterization (which S4 asks for),
-    # read the strong resolving graph through one per-group memo, as the
-    # simplicial vertices are read through another.
+    # take clique numbers of strong resolving graphs built anew by each
+    # reader; the memoized search runs once per distinct graph of the group,
+    # as the simplicial vertices are scanned once through another memo.
     seen = []
-    original = resolving.strong_resolving_graph
+    original = cliques.max_clique
 
     def counting(g):
         seen.append(g)
         return original(g)
 
-    monkeypatch.setattr(resolving, "strong_resolving_graph", counting)
-    c5 = cycle(5)
+    monkeypatch.setattr(cliques, "max_clique", counting)
     verdicts, _ = run_suite(parse_corpus("family:cycle:5"),
                             ["S2", "S4", "S21", "S22", "S9", "S19"])
     assert [v.outcome for v in verdicts] == ["holds"] * 6
-    cone = statements._cone(c5)
-    assert seen == [c5, cone, lexicographic_product(c5, c5).graph]
+    assert len(set(seen)) < len(seen)
+    assert cliques._search.cache_info().misses == len(set(seen))
     # S9 and S19 scan C5 for simplicial vertices once between them, and each
     # of their two products once.
     assert graphs.simplicial_vertices.cache_info().misses == 3
