@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -32,13 +32,95 @@ def from_mask(mask: int) -> frozenset[int]:
 
 def iter_bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, lowest first.  For cold paths only: the hot
-    loops (BFS, searches, oracles, product builders) walk the bits inline
-    (``low = m & -m; m ^= low``), which skips a generator resumption per
-    bit."""
+    loops walk their bits inline, the BFS a byte at a time through
+    ``_BYTE_BITS`` and the others (searches, oracles, product builders) one
+    bit at a time (``low = m & -m; m ^= low``), which skips a generator
+    resumption per bit."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# The set bits of each byte value, lowest first, built by doubling (a tenth
+# of the import time of a per-value scan): entry b + 2**i is entry b with i
+# appended, for b < 2**i.
+_BYTE_BITS: tuple[tuple[int, ...], ...] = ((),)
+for _i in range(8):
+    _BYTE_BITS += tuple(bits + (_i,) for bits in _BYTE_BITS)
+del _i
+
+# Graphs up to this order are validated by one transpose of their packed
+# adjacency matrix; larger ones by a scan costing O(arcs), since the packed
+# matrix and its swap masks take side**2 bits each (8 GiB at the graph6 order
+# cap, 258,047).
+TRANSPOSE_MAX_ORDER = 256
+
+
+def _tile(pattern: int, period: int, total: int) -> int:
+    """``pattern`` repeated every ``period`` bits up to ``total`` bits, by
+    doubling (``total / period`` is a power of two)."""
+    while period < total:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern
+
+
+@functools.cache
+def _transpose_plan(side: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal mask and the delta swaps (shift, mask) that transpose a
+    ``side`` x ``side`` bit matrix packed with row i at bit ``i * side``
+    (``side`` a power of two).
+
+    The swap for block size j exchanges bit (i, c), with bit j clear in i
+    and set in c, with bit (i + j, c - j), ``j * (side - 1)`` places higher:
+    the off-diagonal j x j blocks of every 2j x 2j block trade places.  After
+    the swaps for j = side/2, ..., 2, 1 every bit (i, c) sits at (c, i)
+    (Knuth, TAOCP 4A, 7.1.3; Warren, *Hacker's Delight*, 7-3).
+    """
+    full = side * side
+    swaps = []
+    j = side >> 1
+    while j:
+        cols = _tile(((1 << j) - 1) << j, 2 * j, side)  # the c with bit j set
+        rows = _tile(cols, side, j * side)  # ... in j rows, then j rows clear
+        swaps.append((j * (side - 1), _tile(rows, 2 * j * side, full)))
+        j >>= 1
+    return _tile(1, side + 1, side * (side + 1)), tuple(swaps)
+
+
+def _pack(rows: Iterable[int], side: int) -> int:
+    """Rows in ``0 .. 2**side - 1`` as one int, row i at bit ``i * side``."""
+    if side == 8:
+        return int.from_bytes(bytes(rows), "little")
+    width = side >> 3
+    return int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
+
+
+def _transpose_packed(m: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    for shift, mask in swaps:
+        t = (m >> shift ^ m) & mask
+        m ^= t ^ t << shift
+    return m
+
+
+def _side(n: int) -> int:
+    """The packed row width of an order-n matrix: a power of two >= max(n, 8)."""
+    return 8 if n <= 8 else 1 << (n - 1).bit_length()
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of the square bit matrix whose row i is ``rows[i]``
+    (each in ``0 .. 2**len(rows) - 1``): bit i of the result's row j is bit
+    j of ``rows[i]``."""
+    n = len(rows)
+    side = _side(n)
+    data = _transpose_packed(_pack(rows, side), _transpose_plan(side)[1]).to_bytes(
+        n * side >> 3, "little")
+    if side == 8:
+        return list(data)
+    width = side >> 3
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
 @dataclass(frozen=True)
@@ -51,36 +133,27 @@ class Graph:
     def __post_init__(self):
         # A list of rows is accepted and kept as a tuple, so the graph hashes.
         object.__setattr__(self, "adj", tuple(self.adj))
-        if self.n < 1:
+        n, adj = self.n, self.adj
+        if n < 1:
             raise ValueError("graph order must be at least 1")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match order")
-        adj = self.adj
-        arcs = upper = 0
-        symmetric = True
-        for i, row in enumerate(adj):
-            if row >> self.n:
-                raise ValueError(
-                    f"adjacency row {i} references vertices outside 0..{self.n - 1}"
-                )
-            if row >> i & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-            above = row >> i + 1 << i + 1
-            arcs += row.bit_count()
-            upper += above.bit_count()
-            while above:
-                low = above & -above
-                if not adj[low.bit_length() - 1] >> i & 1:
-                    symmetric = False
-                above ^= low
-        # Each arc above the diagonal has its reverse, so twice as many arcs
-        # in all leaves none without one.  On a failure the row-major scan
-        # names the first asymmetric pair.
-        if not symmetric or arcs != 2 * upper:
-            for i, row in enumerate(adj):
-                for j in iter_bits(row):
-                    if not adj[j] >> i & 1:
-                        raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        # In range, loopless and symmetric: the packed matrix has an empty
+        # diagonal and equals its transpose.  Any fault, and every order
+        # above the bound, goes to the scan, which names the first fault.
+        if n <= TRANSPOSE_MAX_ORDER and min(adj) >= 0 and not max(adj) >> n:
+            side = _side(n)
+            diag, swaps = _transpose_plan(side)
+            m = _pack(adj, side)
+            if m & diag or _transpose_packed(m, swaps) != m:
+                _scan_rows(n, adj)
+        else:
+            _scan_rows(n, adj)
+        object.__setattr__(self, "_hash", hash((n, adj)))
+
+    def __hash__(self) -> int:
+        # The dataclass's own hash, computed once.
+        return self._hash
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -109,6 +182,34 @@ class Graph:
 
     def vertices_mask(self) -> int:
         return (1 << self.n) - 1
+
+
+def _scan_rows(n: int, adj: tuple[int, ...]) -> None:
+    """Raise on the first row outside ``0 .. 2**n - 1``, self-loop or
+    asymmetric arc of the rows of an order-n graph, in row order."""
+    arcs = upper = 0
+    symmetric = True
+    for i, row in enumerate(adj):
+        if row >> n:
+            raise ValueError(f"adjacency row {i} references vertices outside 0..{n - 1}")
+        if row >> i & 1:
+            raise ValueError(f"self-loop at vertex {i}")
+        above = row >> i + 1 << i + 1
+        arcs += row.bit_count()
+        upper += above.bit_count()
+        while above:
+            low = above & -above
+            if not adj[low.bit_length() - 1] >> i & 1:
+                symmetric = False
+            above ^= low
+    # Each arc above the diagonal has its reverse, so twice as many arcs in
+    # all leaves none without one.  On a failure the row-major scan names
+    # the first asymmetric pair.
+    if not symmetric or arcs != 2 * upper:
+        for i, row in enumerate(adj):
+            for j in iter_bits(row):
+                if not adj[j] >> i & 1:
+                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
 class DistanceMatrix:
@@ -207,10 +308,12 @@ class DistanceMatrix:
             table = [0] * self.n
             for u in range(self.n):
                 du = self.dist[u]
+                lu = layers[u]
+                nu = lu[1]
                 for v in range(u + 1, self.n):
                     beyond = du[v] + 1
-                    if not (layers[u][1] & layers[v][beyond]
-                            or layers[v][1] & layers[u][beyond]):
+                    lv = layers[v]
+                    if not (nu & lv[beyond] or lv[1] & lu[beyond]):
                         table[u] |= 1 << v
                         table[v] |= 1 << u
             self._mmd = table
@@ -220,9 +323,11 @@ class DistanceMatrix:
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; INF across components.  Keeps each BFS frontier
     as ``layers[s][d]``, and as ``rowunion[s]`` the vertices of rings 1 and up
-    with a neighbour in the next ring."""
+    with a neighbour in the next ring.  Each frontier is walked a byte at a
+    time through ``_BYTE_BITS``."""
     n = g.n
     adj = g.adj
+    byte_bits = _BYTE_BITS
     dist: list[list[float]] = []
     layers: list[list[int]] = []
     rowunion: list[int] = []
@@ -236,12 +341,16 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         while frontier:
             nxt = 0
             m = frontier
+            base = 0
             while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                row[v] = d
-                nxt |= adj[v]
+                byte = m & 255
+                if byte:
+                    for i in byte_bits[byte]:
+                        v = base + i
+                        row[v] = d
+                        nxt |= adj[v]
+                m >>= 8
+                base += 8
             if d >= 2:
                 inner |= rings[d - 1] & nxt
             frontier = nxt & ~seen

@@ -55,6 +55,7 @@ from .graphs import (
     require_connected,
     simplicial_vertices,
     to_mask,
+    transpose,
     true_twin_classes,
 )
 
@@ -67,8 +68,11 @@ VertexSet = Iterable[int]
 
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
     """Every geodesic between members of X stays inside X."""
-    xmask = to_mask(X)
-    return _pairs_avoid(dm.blockers, xmask, ~xmask)
+    return _is_convex_mask(dm, to_mask(X))
+
+
+def _is_convex_mask(dm: DistanceMatrix, mask: int) -> bool:
+    return _pairs_avoid(dm.blockers, mask, ~mask)
 
 
 def _pairs_avoid(blockers: list[list[int]], pairs: int, forbidden: int) -> bool:
@@ -340,17 +344,11 @@ def max_gp_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
 def max_outer_oracle(dm: DistanceMatrix) -> tuple[int, frozenset[int]]:
     """Largest outer set: independent-set search on the pairwise conflicts
     induced by the geodesic interiors ``rowunion`` (heredity makes subset
-    pruning sound)."""
+    pruning sound): u and w conflict when w is in ``rowunion[u]`` or u in
+    ``rowunion[w]``."""
     n = dm.n
     rowunion = dm.rowunion
-    conf = list(rowunion)
-    for u in range(n):
-        bit = 1 << u
-        m = rowunion[u]
-        while m:
-            low = m & -m
-            m ^= low
-            conf[low.bit_length() - 1] |= bit
+    conf = list(map(operator.or_, rowunion, transpose(rowunion)))
     best = 0
     best_mask = 0
 

@@ -45,10 +45,13 @@ def g2bar(g: Graph) -> Graph:
 
 
 def prune_isolated(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:
-    """Drop isolated vertices; (None, ()) when every vertex was isolated."""
+    """Drop isolated vertices; (None, ()) when every vertex was isolated, and
+    g itself when none was."""
     keep = [v for v in range(g.n) if g.adj[v]]
     if not keep:
         return None, ()
+    if len(keep) == g.n:
+        return g, tuple(keep)
     return induced_subgraph(g, keep)
 
 

@@ -359,9 +359,7 @@ def check_s3(verdict, g: Graph) -> Verdict:
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
         dual = positions._is_dual_mask(dm, xmask)
-        char = positions._is_gp_mask(dm, xmask) and positions.is_convex(
-            dm, from_mask(~xmask & full)
-        )
+        char = positions._is_gp_mask(dm, xmask) and positions._is_convex_mask(dm, ~xmask & full)
         if dual != char:
             return verdict("fails", lhs=dual, rhs=char,
                            counterexample=sorted(from_mask(xmask)))

@@ -3,9 +3,12 @@
 import functools
 import math
 import operator
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos.errors import DomainError
 from genpos.graphs import (
@@ -25,6 +28,7 @@ from genpos.graphs import (
     remove_true_twin_edges,
     simplicial_vertices,
     to_mask,
+    transpose,
     true_twin_pairs,
     universal_vertices,
 )
@@ -70,6 +74,74 @@ def test_graph_built_from_a_list_hashes_like_a_tuple():
     assert invariant("gp_o", listed) == invariant("gp_o", tupled) == (3, frozenset({0, 1, 2}))
 
 
+def test_graph_hashes_its_order_and_rows():
+    # the same value as the dataclass hash, on both sides of the transpose
+    # bound and after a pickle round trip
+    for g in (path(5), strong_product(cycle(5), path(6)).graph, path(300)):
+        assert hash(g) == hash((g.n, g.adj))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash((g.n, g.adj))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100, 129, 256])
+def test_transpose_matches_the_per_bit_definition(n):
+    rnd = random.Random(n)
+    for rows in ([rnd.getrandbits(n) for _ in range(n)],
+                 [1 << rnd.randrange(n) for _ in range(n)],
+                 [(1 << n) - 1] * n):
+        assert transpose(rows) == [sum((rows[i] >> j & 1) << i for i in range(n))
+                                   for j in range(n)]
+
+
+def first_adjacency_fault(n, rows):
+    """The message of the first fault of ``Graph(n, rows)`` in row order, read
+    bit by bit: a row outside the order or a self-loop before any asymmetric
+    arc; None for a valid graph."""
+    for i, row in enumerate(rows):
+        if row >> n:
+            return f"adjacency row {i} references vertices outside 0..{n - 1}"
+        if row >> i & 1:
+            return f"self-loop at vertex {i}"
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if row >> j & 1 and not rows[j] >> i & 1:
+                return f"adjacency not symmetric at ({i},{j})"
+    return None
+
+
+@st.composite
+def adjacency_rows(draw, flip):
+    """Symmetric rows of order 1..300, about half drawn from 240..300 across
+    the transpose bound, with one bit flipped when ``flip``: an arc's reverse
+    missing, a self-loop, or vertex n named."""
+    n = draw(st.one_of(st.integers(1, 300), st.integers(240, 300)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.0, 2 / n, 0.5, 1.0]))
+    rows = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if rnd.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if flip:
+        rows[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n))
+    return n, rows
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["symmetric", "one-flip"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_validation_matches_the_row_major_scan(flip, data):
+    n, rows = data.draw(adjacency_rows(flip))
+    fault = first_adjacency_fault(n, rows)
+    if fault is None:
+        assert Graph(n, rows).adj == tuple(rows)
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph(n, rows)
+        assert str(err.value) == fault
+
+
 def test_mask_round_trip():
     assert to_mask([0, 2, 5]) == 0b100101
     assert sorted(from_mask(0b100101)) == [0, 2, 5]
@@ -92,6 +164,21 @@ def floyd_warshall(g):
 def test_bfs_matches_floyd_warshall(g):
     dm = all_pairs_distances(g)
     assert dm.dist == floyd_warshall(g)
+
+
+@pytest.mark.parametrize("n", range(9, 41))
+def test_bfs_matches_floyd_warshall_across_byte_boundaries(n):
+    # sparse and long graphs, so frontiers straddle bytes; disconnected ones too
+    rnd = random.Random(n)
+    sparse = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                  if rnd.random() < 1.5 / n])
+    for g in (sparse, cycle(n), disjoint_union([path(n - 5), cycle(5)])):
+        dm = all_pairs_distances(g)
+        assert dm.dist == floyd_warshall(g)
+        assert dm.layers == [
+            [to_mask(v for v in range(n) if row[v] == d) for d in range(len(rings))]
+            for row, rings in zip(dm.dist, dm.layers)]
+        assert_rowunion_matches_definition(g)
 
 
 def test_blockers_are_strict_geodesic_interiors():

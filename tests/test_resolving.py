@@ -121,6 +121,9 @@ def test_prune_isolated():
     assert pruned is not None and pruned.n == 2 and labels == (1, 2)
     empty = Graph(3, (0, 0, 0))
     assert prune_isolated(empty) == (None, ())
+    whole = path(4)  # nothing to prune: the graph itself comes back
+    pruned, labels = prune_isolated(whole)
+    assert pruned is whole and labels == (0, 1, 2, 3)
 
 
 def test_tf_boundary_examples():
