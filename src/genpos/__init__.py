@@ -16,7 +16,6 @@ from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, all_pairs_distances
 from .positions import INVARIANTS, compute_bundle, invariant
 from .products import lexicographic_product, strong_product
-from .statements import STATEMENTS, check_statement, parse_corpus, run_suite
 
 __all__ = [
     "CapacityError",
@@ -33,10 +32,6 @@ __all__ = [
     "invariant",
     "strong_product",
     "lexicographic_product",
-    "STATEMENTS",
-    "check_statement",
-    "parse_corpus",
-    "run_suite",
 ]
 
 __version__ = "0.1.0"

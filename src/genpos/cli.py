@@ -4,7 +4,8 @@ Subcommands: invariants (bundle for one graph), product (strong/lex build),
 verify (statement suite over a corpus), corpus (stream a corpus as graph6),
 statements (list the catalog).  Output is deterministic JSON lines; exit code
 0 on success / all-holds, 1 when some statement fails, 2 on usage or internal
-errors.
+errors.  Only verify, corpus and statements import the statement catalog
+(``statements``), so invariants and product never compile it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 import traceback
 
-from . import families, positions, products, statements
+from . import families, positions, products
 from .errors import GenposError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, is_connected
@@ -76,6 +77,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import statements
+
     ids = statements.parse_statement_ids(args.statements)
     corpus = statements.parse_corpus(args.corpus) if args.corpus else statements.Corpus()
     verdicts, summary = statements.run_suite(corpus, ids, jobs=args.jobs)
@@ -86,6 +89,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import statements
+
     corpus = statements.parse_corpus(args.spec)
     if corpus.pairs:
         for a, b in corpus.pairs:
@@ -97,6 +102,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_statements(args) -> int:
+    from . import statements
+
     for sid in sorted(statements.STATEMENTS, key=lambda s: int(s[1:])):
         st = statements.STATEMENTS[sid]
         _emit({

@@ -11,7 +11,7 @@ vertex), ``cycle_plus:5`` (a cycle with one pendant vertex), ``random:8,300,7``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecError
 from .graphs import Graph, is_connected, join
@@ -19,8 +19,7 @@ from .graphs import Graph, is_connected, join
 _RANDOM_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     tag: str
     params: tuple[int, ...] = ()
     joined: tuple["FamilySpec", "FamilySpec"] | None = None

@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -123,17 +122,20 @@ def transpose(rows: Sequence[int]) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph.  adj[i] is the neighbor bitmask of vertex i."""
+    """Simple undirected graph.  adj[i] is the neighbor bitmask of vertex i.
 
-    n: int
-    adj: tuple[int, ...]
+    Immutable: assigning or deleting an attribute raises AttributeError.  A
+    graph equals only another Graph with the same order and rows, and hashes
+    as ``hash((n, adj))``, computed once.  It pickles and copies as
+    ``Graph(n, adj)``, so an unpickled graph is validated again.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("n", "adj", "_hash")
+
+    def __init__(self, n: int, adj: Iterable[int]):
         # A list of rows is accepted and kept as a tuple, so the graph hashes.
-        object.__setattr__(self, "adj", tuple(self.adj))
-        n, adj = self.n, self.adj
+        adj = tuple(adj)
         if n < 1:
             raise ValueError("graph order must be at least 1")
         if len(adj) != n:
@@ -149,10 +151,28 @@ class Graph:
                 _scan_rows(n, adj)
         else:
             _scan_rows(n, adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_hash", hash((n, adj)))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
     def __hash__(self) -> int:
-        # The dataclass's own hash, computed once.
         return self._hash
 
     @staticmethod

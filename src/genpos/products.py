@@ -5,7 +5,7 @@ The vertex codec is fixed once and everywhere: (g, h) <-> g * n_H + h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graphs import Graph
@@ -13,8 +13,7 @@ from .graphs import Graph
 DEFAULT_VERTEX_CAP = 4096
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(NamedTuple):
     graph: Graph
     n_g: int
     n_h: int

@@ -33,7 +33,6 @@ import operator
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Callable, NamedTuple
 
@@ -98,8 +97,7 @@ class Verdict(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     sid: str
     arity: str  # "graph" | "pair" | "fixed"
     description: str
@@ -693,8 +691,7 @@ def enumerate_connected(n: int):
             yield g
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     graphs: tuple[Graph, ...] = ()
     pairs: tuple[tuple[Graph, Graph], ...] = ()
 

@@ -296,6 +296,27 @@ def test_python_dash_m_runs_the_cli(argv, code, lines):
     assert len(proc.stdout.splitlines()) == lines
 
 
+LEAN_IMPORT_PROBE = """
+import sys
+import genpos
+print(sorted(m for m in ("dataclasses", "inspect", "genpos.statements") if m in sys.modules))
+from genpos import cli
+cli.main(["invariants", "family:cycle:5"])
+print("genpos.statements" in sys.modules)
+"""
+
+
+def test_import_and_invariants_leave_the_catalog_unloaded():
+    # neither the package nor the commands that compute one graph's numbers
+    # need dataclasses (nor the inspect it imports) or the statement catalog
+    proc = run_python("-c", LEAN_IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    before, bundle, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert json.loads(bundle)["n"] == 5
+    assert after == "False"
+
+
 def test_statements_listing(capsys):
     code, out, _ = run(capsys, "statements")
     assert code == 0

@@ -63,6 +63,10 @@ def test_spec_round_trip_str():
         spec = parse_family(text)
         assert str(spec) == text
         assert parse_family(str(spec)) == spec
+    assert repr(parse_family("join:cycle:3+path:2")) == (
+        "FamilySpec(tag='join', params=(), joined=("
+        "FamilySpec(tag='cycle', params=(3,), joined=None), "
+        "FamilySpec(tag='path', params=(2,), joined=None)))")
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,5 +1,6 @@
 """Core graph structure: construction, distances, blockers, recognizers."""
 
+import copy
 import functools
 import math
 import operator
@@ -75,12 +76,38 @@ def test_graph_built_from_a_list_hashes_like_a_tuple():
 
 
 def test_graph_hashes_its_order_and_rows():
-    # the same value as the dataclass hash, on both sides of the transpose
-    # bound and after a pickle round trip
+    # hash((n, adj)) on both sides of the transpose bound, kept by a pickle
+    # round trip and by shallow and deep copies
     for g in (path(5), strong_product(cycle(5), path(6)).graph, path(300)):
         assert hash(g) == hash((g.n, g.adj))
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and hash(copy) == hash((g.n, g.adj))
+        for dup in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(dup) is Graph and dup == g and hash(dup) == hash((g.n, g.adj))
+
+
+def test_graph_is_immutable_and_equals_only_graphs():
+    g = Graph(2, (2, 1))
+    for name in ("n", "adj", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.label = "K2"  # no instance dict
+    assert (g.n, g.adj) == (2, (2, 1))
+    assert g != (2, (2, 1)) and g == Graph(n=2, adj=[2, 1])
+    assert repr(g) == "Graph(n=2, adj=(2, 1))"
+
+
+def test_unpickling_validates_the_rows():
+    # protocol 0 by hand: Graph(2, (2, row)) through GLOBAL, two TUPLEs and REDUCE
+    def payload(row):
+        return b"cgenpos.graphs\nGraph\n(I2\n(I2\nI%d\nttR." % row
+
+    assert pickle.loads(payload(1)) == Graph(2, (2, 1))
+    # what pickle writes for a graph reduces to the same constructor call
+    assert Graph(2, (2, 1)).__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (Graph, (2, (2, 1)))
+    with pytest.raises(ValueError, match=r"adjacency not symmetric at \(0,1\)"):
+        pickle.loads(payload(0))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100, 129, 256])

@@ -120,6 +120,8 @@ def test_pairs_corpus_flattens_to_unique_graphs():
 
 
 def test_empty_corpus_derives_nothing():
+    assert Corpus() == Corpus(graphs=(), pairs=())
+    assert repr(Corpus()) == "Corpus(graphs=(), pairs=())"
     assert Corpus().derived_pairs() == ()
     assert Corpus().derived_graphs() == ()
 
