@@ -68,10 +68,7 @@ VertexSet = Iterable[int]
 
 def is_convex(dm: DistanceMatrix, X: VertexSet) -> bool:
     """Every geodesic between members of X stays inside X."""
-    return _is_convex_mask(dm, to_mask(X))
-
-
-def _is_convex_mask(dm: DistanceMatrix, mask: int) -> bool:
+    mask = to_mask(X)
     return _pairs_avoid(dm.blockers, mask, ~mask)
 
 

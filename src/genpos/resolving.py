@@ -44,15 +44,14 @@ def g2bar(g: Graph) -> Graph:
     return complement(remove_true_twin_edges(g))
 
 
-def prune_isolated(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:
-    """Drop isolated vertices; (None, ()) when every vertex was isolated, and
-    g itself when none was."""
+def prune_isolated(g: Graph) -> Graph:
+    """g without its isolated vertices; g itself when it has none."""
     keep = [v for v in range(g.n) if g.adj[v]]
     if not keep:
-        return None, ()
+        raise DomainError("an edgeless graph has no pruned form")
     if len(keep) == g.n:
-        return g, tuple(keep)
-    return induced_subgraph(g, keep)
+        return g
+    return induced_subgraph(g, keep)[0]
 
 
 def tf_boundary_and_srs(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -61,16 +60,13 @@ def tf_boundary_and_srs(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     Vertices are boundary vertices with a non-true-twin MMD partner; SRS edges
     are exactly those partnerships.  An adjacent pair is MMD exactly when its
     closed neighbourhoods are equal, so the rows are ``mmd[u] & ~adj[u]``.
+    They have an edge: a diametral pair is MMD and non-adjacent.
     """
     if is_complete(g):
         raise DomainError("the TF-boundary is defined for non-complete graphs only")
     mmd = require_connected(g, "tf_boundary").mmd
-    srs, labels = prune_isolated(Graph(g.n, tuple(m & ~a for m, a in zip(mmd, g.adj))))
-    if srs is None:
-        # Cannot happen for a connected non-complete graph: a diametral pair
-        # is MMD and non-adjacent, hence not true twins.
-        raise DomainError("graph has no non-twin MMD pair")
-    return srs, labels
+    rows = tuple(m & ~a for m, a in zip(mmd, g.adj))
+    return prune_isolated(Graph(g.n, rows)), tuple(v for v in range(g.n) if rows[v])
 
 
 def strong_product_mmd(g: Graph, h: Graph) -> list[int]:

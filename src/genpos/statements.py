@@ -353,11 +353,16 @@ def check_s2(verdict, g: Graph) -> Verdict:
 @statement("S3", "graph", "dual sets are exactly general position sets with convex complement (all subsets, n<=6)",
            SUBSET_SWEEP)
 def check_s3(verdict, g: Graph) -> Verdict:
+    """Each subset X is dual (gp, and no vertex of X inside a geodesic between
+    two vertices outside X) exactly when X is gp and its complement is convex,
+    i.e. equal to its geodesic hull as the dual search grows it."""
     dm = distances(g)
     full = (1 << g.n) - 1
     for xmask in range(full + 1):
-        dual = positions._is_dual_mask(dm, xmask)
-        char = positions._is_gp_mask(dm, xmask) and positions._is_convex_mask(dm, ~xmask & full)
+        comp = full & ~xmask
+        gp = positions._is_gp_mask(dm, xmask)
+        dual = gp and positions._pairs_avoid(dm.blockers, comp, xmask)
+        char = gp and positions._hull_with(dm.rowunion, dm.shadow, 0, comp) == comp
         if dual != char:
             return verdict("fails", lhs=dual, rhs=char,
                            counterexample=sorted(from_mask(xmask)))
@@ -367,7 +372,7 @@ def check_s3(verdict, g: Graph) -> Verdict:
 @statement("S4", "graph", "clique numbers of the full and pruned strong resolving graphs agree with gp_o",
            NOT_K1)
 def check_s4(verdict, g: Graph) -> Verdict:
-    pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
+    pruned = resolving.prune_isolated(resolving.strong_resolving_graph(g))
     lhs = _number("gp_o", g)
     rhs, _ = cliques.max_clique(pruned)
     return _equalities(verdict, {"gp_o": (lhs, rhs)})
@@ -449,15 +454,13 @@ def check_s21(verdict, g: Graph) -> Verdict:
     omega_g2 = cliques.max_clique(g2)[0]
     checks: dict[str, tuple] = {}
     if _no_universal(g):
-        pruned, _ = resolving.prune_isolated(resolving.strong_resolving_graph(_cone(g)))
-        assert pruned is not None
+        pruned = resolving.prune_isolated(resolving.strong_resolving_graph(_cone(g)))
         checks["i"] = (omega_g2, cliques.max_clique(pruned)[0])
     if distances(g).diameter <= 2:
         # Neither is empty: a diametral pair is MMD, and g2bar joins a pair at
         # distance 2 or, when g is complete, a true-twin pair.
-        pruned_g2, _ = resolving.prune_isolated(g2)
-        pruned_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
-        assert pruned_g2 is not None and pruned_sr is not None
+        pruned_g2 = resolving.prune_isolated(g2)
+        pruned_sr = resolving.prune_isolated(resolving.strong_resolving_graph(g))
         checks["ii"] = (cliques.max_clique(pruned_g2)[0], cliques.max_clique(pruned_sr)[0])
     if _twin_free(g):
         checks["iii"] = (omega_g2, cliques.independence_number(g)[0])
@@ -580,12 +583,10 @@ check_s20 = exact("S20", "gp_t of a lexicographic product (complete vs non-compl
 @statement("S22", "pair", "structure of the pruned strong resolving graph of a lexicographic product",
            FACTORS_2, lex=36)
 def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
-    lhs_graph, _ = resolving.prune_isolated(resolving.strong_resolving_graph(pg.graph))
-    assert lhs_graph is not None
+    lhs_graph = resolving.prune_isolated(resolving.strong_resolving_graph(pg.graph))
     omega_lhs = cliques.max_clique(lhs_graph)[0]
 
-    g_sr, _ = resolving.prune_isolated(resolving.strong_resolving_graph(g))
-    assert g_sr is not None
+    g_sr = resolving.prune_isolated(resolving.strong_resolving_graph(g))
     b_g = g_sr.n
 
     h2 = resolving.g2bar(h)
@@ -593,8 +594,7 @@ def check_s22(verdict, g: Graph, h: Graph, pg: ProductGraph) -> Verdict:
     rhs: dict[str, Graph] = {}
     if _twin_free(g) and not is_complete(h):
         # Not empty: connected non-complete H has a pair at distance 2, which g2bar joins.
-        h2p, _ = resolving.prune_isolated(h2)
-        assert h2p is not None
+        h2p = resolving.prune_isolated(h2)
         rhs["i"] = disjoint_union([lexicographic_product(g_sr, h2).graph] + [h2p] * (g.n - b_g))
     if is_complete(h):
         rhs["ii"] = disjoint_union([lexicographic_product(g_sr, h).graph] + [h] * (g.n - b_g))
@@ -801,16 +801,17 @@ def run_suite(
     for sid in ids:
         if sid not in STATEMENTS:
             raise SpecError(f"unknown statement id {sid!r}")
+    graphs, pairs = corpus.derived_graphs(), corpus.derived_pairs()
     groups: dict[object, list[tuple[str, object]]] = {}
     for sid in ids:
         st = STATEMENTS[sid]
         if st.arity == "fixed":
             groups.setdefault(None, []).append((sid, None))
         elif st.arity == "graph":
-            for g in corpus.derived_graphs():
+            for g in graphs:
                 groups.setdefault(g, []).append((sid, g))
         else:
-            for pair in corpus.derived_pairs():
+            for pair in pairs:
                 key = pair if corpus.pairs else pair[0]
                 groups.setdefault(key, []).append((sid, pair))
     buckets: dict[str, list[Verdict]] = {

@@ -62,20 +62,20 @@ def test_criterion_01_characterization_equals_definition():
             bad += 1
             continue
         sr = resolving.strong_resolving_graph(g)
-        pruned = resolving.prune_isolated(sr)[0]
         outer = positions.max_outer_oracle(dm)[0]
         if outer != cliques.max_clique(sr)[0]:
             bad += 1
             continue
-        if pruned is not None and outer != cliques.max_clique(pruned)[0]:
+        # K1's strong resolving graph has no edge, hence no pruned form
+        if g.n > 1 and outer != cliques.max_clique(resolving.prune_isolated(sr))[0]:
             bad += 1
             continue
         full = (1 << g.n) - 1
         for xmask in range(full + 1):
+            comp = full & ~xmask
             dual = positions._is_dual_mask(dm, xmask)
-            split = positions._is_gp_mask(dm, xmask) and positions.is_convex(
-                dm, [v for v in range(g.n) if ~xmask >> v & 1]
-            )
+            split = positions._is_gp_mask(dm, xmask) and positions._hull_with(
+                dm.rowunion, dm.shadow, 0, comp) == comp
             if dual != split:
                 bad += 1
                 break

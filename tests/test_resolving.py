@@ -72,8 +72,7 @@ def test_true_twins_are_mmd(g):
 
 def test_sr_graph_of_c4_is_perfect_matching():
     sr = strong_resolving_graph(cycle(4))
-    pruned, _ = prune_isolated(sr)
-    assert pruned is not None
+    pruned = prune_isolated(sr)
     assert sr.num_edges() == 2
     assert pruned.num_edges() == 2
     assert all(pruned.degree(v) == 1 for v in range(pruned.n))
@@ -81,16 +80,15 @@ def test_sr_graph_of_c4_is_perfect_matching():
 
 def test_sr_graph_of_k1_has_no_pruned_form():
     sr = strong_resolving_graph(Graph(1, (0,)))
-    assert prune_isolated(sr) == (None, ())
+    with pytest.raises(DomainError):
+        prune_isolated(sr)
 
 
 @given(g=connected_graphs(2, 7))
 @settings(max_examples=60, deadline=None)
 def test_pruning_preserves_clique_number(g):
     sr = strong_resolving_graph(g)
-    pruned, _ = prune_isolated(sr)
-    assert pruned is not None
-    assert max_clique(sr)[0] == max_clique(pruned)[0]
+    assert max_clique(sr)[0] == max_clique(prune_isolated(sr))[0]
 
 
 def test_g2bar_examples():
@@ -117,13 +115,11 @@ def test_g2bar_against_definition(g):
 
 def test_prune_isolated():
     g = Graph.from_edges(4, [(1, 2)])
-    pruned, labels = prune_isolated(g)
-    assert pruned is not None and pruned.n == 2 and labels == (1, 2)
-    empty = Graph(3, (0, 0, 0))
-    assert prune_isolated(empty) == (None, ())
+    assert prune_isolated(g) == Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(DomainError):
+        prune_isolated(Graph(3, (0, 0, 0)))
     whole = path(4)  # nothing to prune: the graph itself comes back
-    pruned, labels = prune_isolated(whole)
-    assert pruned is whole and labels == (0, 1, 2, 3)
+    assert prune_isolated(whole) is whole
 
 
 def test_tf_boundary_examples():

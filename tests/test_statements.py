@@ -569,6 +569,19 @@ def test_s11_reports_the_first_differing_pair(monkeypatch):
     assert v.counterexample == [list(p.decode(1)), list(p.decode(9))] == [[0, 1], [3, 0]]
 
 
+def test_s3_fails_when_either_side_has_a_broken_kernel(monkeypatch):
+    # A blocker test that always passes makes every set dual, though not every
+    # complement is convex; a hull that never grows makes every complement
+    # convex, though not every general position set is dual.
+    for name, broken in (("_pairs_avoid", lambda blockers, pairs, forbidden: True),
+                         ("_hull_with", lambda rowunion, shadow, hull, add: hull | add)):
+        with monkeypatch.context() as m:
+            m.setattr(positions, name, broken)
+            outcomes = [v.outcome for g in enumerate_connected(4)
+                        for v in check_statement("S3", g)]
+        assert "fails" in outcomes, name
+
+
 def test_one_pair_statement_builds_each_distance_matrix_once(built):
     g, h = cycle(5), path(3)
     [verdict] = check_statement("S12", (g, h))
